@@ -11,17 +11,22 @@
 // fixed at kPoolWidth threads.
 //
 // Run shape:
-//  * set-up runs kInitialSetups times; the last binding serves the
-//    operations;
+//  * set-up runs for a warm-up of at least kWarmupSetupSeconds, then
+//    kSetupSamples more times, one binding alive at a time; setup_s is the
+//    median of those samples, and the last binding serves the operations;
 //  * the first WindowOps() operations are a fixed warm-up window: their
 //    rendered outputs form the repeatable `digest_window`, and the engine
 //    counters are read at its end, so both repeat exactly for a seed;
-//  * then operations are timed for --seconds, in one-second rounds; each
-//    round starts with one more set-up outside the timed region, and
-//    setup_s is the median of those, which span the run instead of one
-//    burst at its start;
+//  * then operations are timed for --seconds of measured time; the timed
+//    metrics cover every one of those operations;
+//  * operations go on, untimed, at least until operation RssOp(), where
+//    peak RSS and the session's memory usage are read;
 //  * every VerifyStride()-th operation is recomputed through the one-shot
 //    entry point outside the timed region and compared byte for byte.
+//
+// Any operation that returns a non-OK status or whose output differs from
+// the one-shot recomputation is failed, and a run with a failed operation
+// is not correct (exit code 1).
 //
 // --trace 0 prints the end-to-end metrics, --trace 1 the per-layer ones
 // (span self times and engine counters; spans are written to
@@ -56,8 +61,13 @@ namespace {
 
 constexpr int kPoolWidth = 2;
 // The first set-ups of a process run up to 3x slower while the allocator
-// warms up; they are reported but not part of setup_s.
-constexpr int kInitialSetups = 4;
+// and the host warm up to sustained load; set-ups of the first
+// kWarmupSetupSeconds (and at least kWarmupSetups) are reported but not
+// part of setup_s. The sampled ones run before the serving session exists,
+// so setup_s does not depend on how large that session's caches have grown.
+constexpr size_t kWarmupSetups = 4;
+constexpr double kWarmupSetupSeconds = 2.0;
+constexpr size_t kSetupSamples = 15;
 
 // The window is also the warm-up: about two seconds of operations, because
 // on a shared virtual machine the first second or two of sustained load
@@ -76,6 +86,27 @@ size_t VerifyStride(Workload w) {
       return 25;
   }
   return 1;
+}
+
+// Peak RSS is read after this operation, at a fixed index every run
+// reaches (a run whose timed phase ends earlier goes on untimed until
+// here), so the reading does not depend on throughput. On obda-travel and
+// derived-enumerate it is late in the run and includes the growth of the
+// session's caches. append-whynot drops those caches on every write; what
+// its RSS gains after the first few hundred operations is allocator
+// fragmentation across the two pool threads, which differs by up to 15%
+// between two runs of one seed, so it is read early. Each index is below
+// the number of asked tuples.
+size_t RssOp(Workload w) {
+  switch (w) {
+    case Workload::kObdaTravel:
+      return 6000;
+    case Workload::kDerivedEnumerate:
+      return 4000;
+    case Workload::kAppendWhyNot:
+      return 300;
+  }
+  return 0;
 }
 
 size_t WindowOps(Workload w) {
@@ -140,14 +171,6 @@ double PeakRssMb() {
 size_t CountLines(const std::string& text) {
   return static_cast<size_t>(std::count(text.begin(), text.end(), '\n'));
 }
-
-// One round of the timed phase (round_ms of measured time).
-struct Round {
-  size_t ok = 0;
-  double ms = 0;  // measured time of the ops that ended in this round
-  std::vector<double> latency_ms;  // failed ops count as +inf
-  double setup_s = 0;  // the set-up run as the round started
-};
 
 // --- binding ---------------------------------------------------------------
 
@@ -440,24 +463,31 @@ int Run(const Args& args) {
   }
 
   Tracer tracer(args.trace);
-  // One timed set-up; spans are recorded in traced runs.
-  auto timed_setup = [&](double* seconds) {
+  // One timed set-up that replaces the binding; spans are recorded in
+  // traced runs.
+  std::unique_ptr<Binding> b;
+  auto setup_into = [&](std::vector<double>* times) {
+    b.reset();
     tracer.set_active(true);
     Clock::time_point t0 = Clock::now();
     auto bound = SetUp(w, in, &tracer);
-    *seconds = Ms(Clock::now() - t0) / 1e3;
+    times->push_back(Ms(Clock::now() - t0) / 1e3);
     if (!bound.ok()) {
       std::cerr << "set-up failed: " << bound.status().ToString() << "\n";
+      return false;
     }
-    return bound;
-  };
-  std::vector<double> initial_setup_s(kInitialSetups);
-  std::unique_ptr<Binding> b;
-  for (double& seconds : initial_setup_s) {
-    b.reset();
-    auto bound = timed_setup(&seconds);
-    if (!bound.ok()) return 1;
     b = std::move(bound).value();
+    return true;
+  };
+  std::vector<double> warmup_setup_s, setup_s;
+  double warmup_total_s = 0;
+  while (warmup_setup_s.size() < kWarmupSetups ||
+         warmup_total_s < kWarmupSetupSeconds) {
+    if (!setup_into(&warmup_setup_s)) return 1;
+    warmup_total_s += warmup_setup_s.back();
+  }
+  while (setup_s.size() < kSetupSamples) {
+    if (!setup_into(&setup_s)) return 1;
   }
 
   const size_t answers_at_setup = b->session->answers().size();
@@ -467,7 +497,6 @@ int Run(const Args& args) {
   std::string first_record;
   size_t attempted = 0, failed = 0, mismatches = 0, verified = 0;
   double verify_ms = 0;
-  std::vector<double> latency_ms;  // timed ops; failed ops count as +inf
   double traced_ms = 0, untraced_ms = 0;
   size_t traced_ops = 0, untraced_ops = 0;
   std::vector<double> rewarm_ms;
@@ -478,30 +507,24 @@ int Run(const Args& args) {
   wn::explain::PruneStats prune_window;
   wn::explain::ExplainSession::MemoryStats memory;
   double peak_rss_mb = 0;
+  const size_t rss_op = RssOp(w);
 
-  Clock::duration measured{0}, phase_start{0};
-  const size_t num_rounds =
-      std::max<size_t>(1, static_cast<size_t>(std::lround(args.seconds)));
-  const double round_ms = args.seconds * 1e3 / static_cast<double>(num_rounds);
-  std::vector<Round> rounds(num_rounds);
-  size_t setup_rounds = 0;  // rounds whose set-up has run
+  Clock::duration measured{0};  // busy time of the timed operations
+  std::vector<double> latency_ms;  // timed ops; failed ops count as +inf
+  size_t measured_ok = 0;
+  // Timed operations per second of measured time, for the report only: it
+  // shows the host's fast and slow phases.
+  std::vector<size_t> ops_per_second(
+      static_cast<size_t>(std::ceil(args.seconds)));
   Clock::time_point resume = Clock::now();
   for (size_t i = 0;; ++i) {
     const bool in_window = i < window;
-    if (!in_window && Ms(measured - phase_start) >= args.seconds * 1e3) break;
+    const bool timed = !in_window && Ms(measured) < args.seconds * 1e3;
+    if (!in_window && !timed && i > rss_op) break;
     // Every operation asks a distinct tuple; a run that exhausts them ends
     // early rather than repeat one (a repeat would be served from cache).
     if (i >= asked.size()) break;
     if (w == Workload::kAppendWhyNot && i >= appended.size()) break;
-    if (!in_window) {
-      size_t round =
-          static_cast<size_t>(Ms(measured - phase_start) / round_ms);
-      if (round >= setup_rounds && round < num_rounds) {
-        if (!timed_setup(&rounds[round].setup_s).ok()) return 1;
-        setup_rounds = round + 1;
-        resume = Clock::now();
-      }
-    }
     const int64_t op = static_cast<int64_t>(i);
     const wn::Tuple& tuple = asked[i];
     tracer.set_active(i % 2 == 0);
@@ -531,7 +554,7 @@ int Run(const Args& args) {
 
     // Outside the timed region from here on.
     const Clock::duration busy = t1 - resume;
-    measured += busy;
+    if (timed) measured += busy;
     ++attempted;
     bool ok = status.ok();
     if (!ok) {
@@ -579,15 +602,12 @@ int Run(const Args& args) {
       }
     }
     if (!ok) ++failed;
-    if (!in_window) {
+    if (timed) {
       latency_ms.push_back(ok ? op_ms
                               : std::numeric_limits<double>::infinity());
-      Round& round = rounds[std::min(
-          num_rounds - 1,
-          static_cast<size_t>(Ms(measured - phase_start) / round_ms))];
-      round.latency_ms.push_back(latency_ms.back());
-      round.ms += Ms(busy);
-      if (ok) ++round.ok;
+      ++ops_per_second[std::min(ops_per_second.size() - 1,
+                                static_cast<size_t>(Ms(measured) / 1e3))];
+      if (ok) ++measured_ok;
       if (i % 2 == 0) {
         traced_ms += op_ms;
         ++traced_ops;
@@ -597,7 +617,6 @@ int Run(const Args& args) {
       }
     }
     if (i + 1 == window) {
-      phase_start = measured;
       wn::ls::ConceptCacheStats now = b->session->CacheStats();
       cache_delta.shared_hits = now.shared_hits - cache_before.shared_hits;
       cache_delta.local_hits = now.local_hits - cache_before.local_hits;
@@ -605,38 +624,19 @@ int Run(const Args& args) {
       cache_delta.publishes = now.publishes - cache_before.publishes;
       cache_delta.evictions = now.evictions - cache_before.evictions;
       prune_window = *b->prune;
+    }
+    if (i == rss_op) {
       memory = b->session->MemoryUsage();
       peak_rss_mb = PeakRssMb();
     }
     resume = Clock::now();
   }
-
-  const size_t measured_ops = latency_ms.size();
-  size_t measured_ok = 0;
-  for (const Round& r : rounds) measured_ok += r.ok;
-  // The quiet rounds: the quarter of the rounds that completed the most
-  // operations. On shared virtual machines the same operations run in fast
-  // and slow phases of 1-3 s, up to 40% apart, that do not line up between
-  // two runs of one seed; a code change moves every round alike, so the
-  // fastest quarter is the steady estimate (the min-of-rounds idea, kept
-  // wide enough for a p99).
-  std::vector<const Round*> by_ok;
-  for (const Round& r : rounds) by_ok.push_back(&r);
-  std::stable_sort(by_ok.begin(), by_ok.end(),
-                   [](const Round* x, const Round* y) {
-                     return x->ok > y->ok;
-                   });
-  by_ok.resize((num_rounds + 3) / 4);
-  size_t quiet_ok = 0;
-  double quiet_ms = 0;
-  std::vector<double> quiet_latency_ms;
-  for (const Round* r : by_ok) {
-    quiet_ok += r->ok;
-    quiet_ms += r->ms;
-    quiet_latency_ms.insert(quiet_latency_ms.end(), r->latency_ms.begin(),
-                            r->latency_ms.end());
+  if (attempted <= rss_op) {
+    std::cerr << "error: the run ended before operation " << rss_op << "\n";
+    return 1;
   }
-  const double measured_s = Ms(measured - phase_start) / 1e3;
+
+  const double measured_s = Ms(measured) / 1e3;
   const double error_rate =
       attempted ? static_cast<double>(failed) / static_cast<double>(attempted)
                 : 1.0;
@@ -652,34 +652,27 @@ int Run(const Args& args) {
             << "ops attempted " << attempted << " failed " << failed
             << " verified " << verified << " (" << verify_ms / 1e3
             << " s) mismatches " << mismatches
-            << " measured " << measured_ops << " in " << measured_s << " s\n"
+            << " measured " << latency_ms.size() << " in " << measured_s
+            << " s\n"
             << "digest_window " << window_digest.Hex() << " digest_all "
             << all_digest.Hex() << "\n"
             << "error_rate " << error_rate << " ratio\n"
-            << "first op " << first_record << "initial_setup_s";
-  for (double t : initial_setup_s) std::cout << " " << t;
-  std::vector<double> round_setup_s;
-  for (const Round& r : rounds) {
-    if (r.setup_s > 0) round_setup_s.push_back(r.setup_s);
-  }
-  std::cout << "\nround_setup_s";
-  for (double t : round_setup_s) std::cout << " " << t;
-  std::cout << "\nok_ops_per_round";
-  for (const Round& r : rounds) std::cout << " " << r.ok;
-  std::cout << "\nall rounds: throughput_rps " << measured_ok / measured_s
-            << " latency_p50_ms " << Percentile(latency_ms, 0.50)
-            << " latency_p99_ms " << Percentile(latency_ms, 0.99)
-            << "\nquiet rounds: " << by_ok.size() << " of " << num_rounds
-            << ", " << quiet_latency_ms.size() << " ops\n";
+            << "first op " << first_record << "setup_s "
+            << warmup_setup_s.size() << " warm-up in " << warmup_total_s
+            << " s, samples";
+  for (double t : setup_s) std::cout << " " << t;
+  std::cout << "\nops_per_second";
+  for (size_t n : ops_per_second) std::cout << " " << n;
+  std::cout << "\n";
 
   std::vector<Metric> metrics;
   if (!args.trace) {
     metrics = {
-        {"setup_s", Median(round_setup_s), "s"},
-        {"throughput_rps", static_cast<double>(quiet_ok) / (quiet_ms / 1e3),
+        {"setup_s", Median(setup_s), "s"},
+        {"throughput_rps", static_cast<double>(measured_ok) / measured_s,
          "1/s"},
-        {"latency_p50_ms", Percentile(quiet_latency_ms, 0.50), "ms"},
-        {"latency_p99_ms", Percentile(quiet_latency_ms, 0.99), "ms"},
+        {"latency_p50_ms", Percentile(latency_ms, 0.50), "ms"},
+        {"latency_p99_ms", Percentile(latency_ms, 0.99), "ms"},
         {"peak_rss_mb", peak_rss_mb, "MB"},
     };
   } else {
@@ -775,7 +768,7 @@ int Run(const Args& args) {
     std::cout << "metric " << m.name << " " << Num(m.value) << " " << m.unit
               << "\n";
   }
-  const bool correct = mismatches == 0 && attempted > 0;
+  const bool correct = failed == 0 && attempted > 0;
   std::cout << ResultLine(correct, attempted, failed, metrics) << std::endl;
   return correct ? 0 : 1;
 }

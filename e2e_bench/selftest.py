@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """The benchmark's own test: exact engine counters and output digests.
 
-usage: python3 e2e_bench/selftest.py [--seed N] [--heldout-seed M] [--seconds S]
+usage: python3 e2e_bench/selftest.py
 
 For every workload this makes two traced runs with the same seed and one
 with a held-out seed (all through run.py, at the fixed pool width). It
@@ -11,7 +11,6 @@ metric that is not a time) and identical window digests. Exits 0 when all
 checks pass, 1 otherwise.
 """
 
-import argparse
 import json
 import os
 import subprocess
@@ -20,12 +19,15 @@ import sys
 HERE = os.path.dirname(os.path.abspath(__file__))
 WORKLOADS = ["obda-travel", "derived-enumerate", "append-whynot"]
 TIMED_UNITS = {"ms", "1/s"}
+SEED = 1
+HELDOUT_SEED = 20261017
+SECONDS = 2
 
 
-def traced_run(workload, seed, seconds):
+def traced_run(workload, seed):
     proc = subprocess.run(
         [sys.executable, os.path.join(HERE, "run.py"), "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds), "--trace", "1"],
+         "--seed", str(seed), "--seconds", str(SECONDS), "--trace", "1"],
         capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
@@ -39,18 +41,11 @@ def traced_run(workload, seed, seconds):
 
 
 def main():
-    parser = argparse.ArgumentParser()
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--heldout-seed", type=int, default=20261017)
-    parser.add_argument("--seconds", type=int, default=2)
-    args = parser.parse_args()
     failures = []
     for workload in WORKLOADS:
-        runs = [traced_run(workload, args.seed, args.seconds),
-                traced_run(workload, args.seed, args.seconds),
-                traced_run(workload, args.heldout_seed, args.seconds)]
-        for (result, _, _), seed in zip(runs, [args.seed, args.seed,
-                                               args.heldout_seed]):
+        runs = [traced_run(workload, SEED), traced_run(workload, SEED),
+                traced_run(workload, HELDOUT_SEED)]
+        for (result, _, _), seed in zip(runs, [SEED, SEED, HELDOUT_SEED]):
             if not result["correct"] or result["failed"] != 0:
                 failures.append("%s seed %d: correct=%s failed=%d" %
                                 (workload, seed, result["correct"],
