@@ -63,10 +63,8 @@ void BM_CheckMge_DerivedSelectionFree(benchmark::State& state) {
     state.SkipWithError("incremental failed");
     return;
   }
-  wn::ls::LubContext ctx(world->instance.get());
   for (auto _ : state) {
-    auto r = wn::explain::CheckMgeDerived(wni.value(), mge.value(),
-                                          /*with_selections=*/false, &ctx);
+    auto r = wn::explain::CheckMgeDerived(wni.value(), mge.value());
     if (!r.ok() || !r.value()) state.SkipWithError("check failed");
     benchmark::DoNotOptimize(r);
   }

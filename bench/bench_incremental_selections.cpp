@@ -54,10 +54,9 @@ void BM_IncrementalSelections_RowSweepFixedArity(benchmark::State& state) {
   wn::explain::IncrementalOptions options;
   options.with_selections = true;
   for (auto _ : state) {
-    // Fresh context per iteration: the box construction is the cost under
-    // measurement (Lemma 5.2).
-    wn::ls::LubContext ctx(f->instance.get(), options.lub);
-    auto r = wn::explain::IncrementalSearch(f->wni, options, &ctx);
+    // One-shot call, so a fresh lub context per iteration: the box
+    // construction is the cost under measurement (Lemma 5.2).
+    auto r = wn::explain::IncrementalSearch(f->wni, options);
     if (!r.ok()) state.SkipWithError(r.status().ToString().c_str());
     benchmark::DoNotOptimize(r);
   }
@@ -76,13 +75,16 @@ void BM_IncrementalSelections_AritySweep(benchmark::State& state) {
   }
   wn::explain::IncrementalOptions options;
   options.with_selections = true;
-  options.lub.max_boxes_per_relation = 100000000;
+  wn::ls::LubOptions lub;
+  lub.max_boxes_per_relation = 100000000;
   size_t boxes = 0;
   for (auto _ : state) {
-    wn::ls::LubContext ctx(f->instance.get(), options.lub);
-    auto r = wn::explain::IncrementalSearch(f->wni, options, &ctx);
+    // Fresh binding per iteration (cold lub boxes), with the raised limit.
+    wn::explain::Binding binding(f->instance.get(), f->wni.answers, nullptr,
+                                 lub);
+    auto r = wn::explain::IncrementalSearch(binding, f->wni.missing, options);
     if (!r.ok()) state.SkipWithError(r.status().ToString().c_str());
-    boxes = ctx.NumBoxes("R");
+    boxes = binding.lub().NumBoxes("R");
     benchmark::DoNotOptimize(r);
   }
   state.counters["arity"] = static_cast<double>(state.range(0));

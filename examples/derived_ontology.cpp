@@ -127,9 +127,8 @@ int main() {
       wn::explain::LsExplanationToString(schema.value(), shortened).c_str());
 
   {
-    ls::LubContext ctx(&instance.value());
     wn::Result<bool> is_mge = wn::explain::CheckMgeDerived(
-        wni.value(), mge.value(), /*with_selections=*/false, &ctx);
+        wni.value(), mge.value(), {/*with_selections=*/false});
     std::printf("\nCHECK-MGE w.r.t. OI (selection-free): %s\n",
                 is_mge.ok() ? (is_mge.value() ? "confirmed" : "NOT most "
                                                               "general")
@@ -156,9 +155,8 @@ int main() {
                 wn::explain::LsExplanationToString(schema.value(), e2).c_str());
     std::printf("  is an explanation: %s\n",
                 wn::explain::IsLsExplanation(wni.value(), e2) ? "yes" : "no");
-    ls::LubContext ctx(&instance.value());
     wn::Result<bool> is_mge = wn::explain::CheckMgeDerived(
-        wni.value(), e2, /*with_selections=*/true, &ctx);
+        wni.value(), e2, {/*with_selections=*/true});
     std::printf("  CHECK-MGE w.r.t. OI over full LS: %s\n",
                 is_mge.ok() ? (is_mge.value() ? "confirmed most general"
                                               : "not most general (a "

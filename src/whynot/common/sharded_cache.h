@@ -28,20 +28,20 @@ namespace whynot {
 ///    worker-held pointers never dangle.
 ///  * Entries are never removed individually (identity-keyed consumers —
 ///    the answer-cover bitmaps — require address stability); capacity
-///    pressure rejects new publishes instead. Clear() is reserved for
-///    serial rebuild points where every consumer is discarded too.
+///    pressure rejects new publishes instead; the cache is dropped whole
+///    together with every consumer.
 ///
 /// Hash-striped shards keep per-map bucket arrays small across
 /// incremental publishes (rehashes touch one stripe, not the whole
-/// table) and give Clear()/size() natural chunking.
+/// table) and give size() natural chunking.
 template <typename Key, typename Value, typename Hasher>
 class ShardedPublishCache {
  public:
   explicit ShardedPublishCache(size_t shards = 16)
       : shards_(shards == 0 ? 1 : shards) {}
 
-  /// Wave-safe lookup: a borrowed pointer valid until Clear(). Returns
-  /// nullptr on miss.
+  /// Wave-safe lookup: a borrowed pointer valid for the cache's lifetime.
+  /// Returns nullptr on miss.
   const Value* Find(const Key& key) const {
     const Shard& shard = shards_[ShardOf(key)];
     auto it = shard.find(key);
@@ -75,13 +75,6 @@ class ShardedPublishCache {
   /// probe while the tier is empty keeps a cold cache's miss path almost
   /// free.
   bool empty() const { return size_ == 0; }
-
-  /// Serial-only: drops every entry. Callers must have discarded all
-  /// borrowed pointers and identity-keyed state first.
-  void Clear() {
-    for (Shard& shard : shards_) shard.clear();
-    size_ = 0;
-  }
 
   /// Approximate heap residency of the map structure itself (buckets and
   /// nodes; the pointed-to values are the caller's to account).

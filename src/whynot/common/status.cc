@@ -20,6 +20,8 @@ const char* StatusCodeName(StatusCode code) {
       return "DeadlineExceeded";
     case StatusCode::kCancelled:
       return "Cancelled";
+    case StatusCode::kFailedPrecondition:
+      return "FailedPrecondition";
   }
   return "Unknown";
 }

@@ -33,6 +33,9 @@ enum class StatusCode {
   kDeadlineExceeded,
   /// The request was cooperatively cancelled (exec::CancelToken).
   kCancelled,
+  /// The operation's inputs are out of date: e.g. a search over an
+  /// explain::Binding whose instance was mutated after the binding was made.
+  kFailedPrecondition,
 };
 
 /// Human-readable name of a status code ("Ok", "InvalidArgument", ...).
@@ -67,6 +70,9 @@ class Status {
   }
   static Status Cancelled(std::string msg) {
     return Status(StatusCode::kCancelled, std::move(msg));
+  }
+  static Status FailedPrecondition(std::string msg) {
+    return Status(StatusCode::kFailedPrecondition, std::move(msg));
   }
 
   bool ok() const { return code_ == StatusCode::kOk; }

@@ -129,14 +129,6 @@ void ConceptCache::Publish(ConceptCacheOverlay* overlay) {
   overlay->pending_support_.clear();
 }
 
-void ConceptCache::Clear() {
-  stats_.evictions += size();
-  support_free_.Clear();
-  support_sel_.Clear();
-  evals_.Clear();
-  bytes_ = 0;
-}
-
 size_t ConceptCache::size() const {
   return support_free_.size() + support_sel_.size() + evals_.size();
 }

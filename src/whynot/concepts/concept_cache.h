@@ -43,7 +43,7 @@ struct ConceptCacheStats {
   size_t local_hits = 0;   // served from a worker overlay's private map
   size_t misses = 0;       // lub + eval computed fresh
   size_t publishes = 0;    // entries merged into the published tier
-  size_t evictions = 0;    // publishes rejected by max_bytes, plus Clear()
+  size_t evictions = 0;    // publishes rejected by max_bytes
 };
 
 class ConceptCacheOverlay;
@@ -78,14 +78,15 @@ struct ConceptHash {
 /// never race on the lazy representation build.
 ///
 /// Threading contract: Find* from many workers concurrently during a
-/// wave; Publish / Clear / stats mutation only at serial points. The
+/// wave; Publish / stats mutation only at serial points. The
 /// instance must not change while the cache holds entries (same contract
-/// as EvalCache); an ExplainSession Clear()s on rewarm.
+/// as EvalCache); an explain::Binding holding one is rebuilt when its
+/// instance changes.
 class ConceptCache {
  public:
   /// One published entry: the canonical lub concept and its extension.
-  /// Entries are handed out by address (stable until Clear) — the
-  /// answer-cover kernel keys cover bitmaps by `ext.get()`.
+  /// Entries are handed out by address (stable for the cache's lifetime)
+  /// — the answer-cover kernel keys cover bitmaps by `ext.get()`.
   struct Entry {
     LsConcept concept;
     std::shared_ptr<const Extension> ext;
@@ -112,10 +113,6 @@ class ConceptCache {
   /// lists. The overlay's private maps stay valid — workers keep their
   /// entry pointers across waves.
   void Publish(ConceptCacheOverlay* overlay);
-
-  /// Serial-only full reset (session rewarm): drops every entry, counted
-  /// as evictions. Traffic counters survive.
-  void Clear();
 
   /// Published entries across all tiers.
   size_t size() const;
@@ -162,7 +159,7 @@ class ConceptCacheOverlay {
  public:
   /// `lub` computes misses (flavor fixed by `with_selections`);
   /// `conjunct_eval`, when non-null, supplies conjunct-level extensions
-  /// (a session's warm EvalCache — concepts share conjuncts heavily), and
+  /// (a binding's warm EvalCache — concepts share conjuncts heavily), and
   /// an overlay-owned EvalCache is used otherwise. Both must be
   /// single-threaded-owned by the same worker as this overlay.
   ConceptCacheOverlay(ConceptCache* shared, bool with_selections,

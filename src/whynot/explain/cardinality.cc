@@ -23,26 +23,21 @@ Degree DegreeOf(onto::BoundOntology* bound, const Explanation& e) {
 }
 
 Result<std::optional<CardinalityResult>> ExactCardMaximal(
-    onto::BoundOntology* bound, const WhyNotInstance& wni,
-    const ExhaustiveOptions& options, ConceptAnswerCovers* covers,
-    LatticeHandle* lattice) {
+    Binding& binding, const Tuple& missing, const ExhaustiveOptions& options) {
+  WHYNOT_RETURN_IF_ERROR(binding.Check(/*needs_ontology=*/true));
+  onto::BoundOntology* bound = binding.bound();
   // Enumerate the full candidate product (as in Algorithm 1 line 2) and
   // keep the highest-degree explanation.
-  std::vector<std::vector<onto::ConceptId>> lists(wni.arity());
-  for (size_t i = 0; i < wni.arity(); ++i) {
-    ValueId id = bound->pool().Intern(wni.missing[i]);
+  size_t m = missing.size();
+  std::vector<std::vector<onto::ConceptId>> lists(m);
+  for (size_t i = 0; i < m; ++i) {
+    ValueId id = bound->pool().Intern(missing[i]);
     lists[i] = bound->ConceptsContaining(id);
     if (lists[i].empty()) {
       exec::FillCertificate(options.cert, exec::Stop{}, exec::Progress{}, 0);
       return std::optional<CardinalityResult>();
     }
   }
-  std::optional<ConceptAnswerCovers> local;
-  if (covers == nullptr) {
-    local.emplace(bound, InternAnswers(bound, wni));
-    covers = &*local;
-  }
-  size_t m = wni.arity();
   CandidateSpace space(lists);
 
   // The degree objective is ≼-monotone only when every candidate
@@ -61,11 +56,10 @@ Result<std::optional<CardinalityResult>> ExactCardMaximal(
     }
     if (any_all) break;
   }
-  std::unique_ptr<LatticeHandle> local_lattice;
   LatticeChoice choice =
       any_all ? LatticeChoice{}
               : ChooseStrategy(options.strategy, space, options.max_candidates,
-                               bound, lattice, &local_lattice);
+                               binding.lattice());
   if (!choice.use_lattice && options.cert == nullptr &&
       (space.overflow() || space.total() > options.max_candidates)) {
     return Status::ResourceExhausted(
@@ -81,7 +75,7 @@ Result<std::optional<CardinalityResult>> ExactCardMaximal(
   // two warm extension loads per survivor undercut the table build. The
   // frontier path always resolves sizes: its hooks need degrees with no
   // side effects on the consume scratch.
-  CoverTable table(covers, lists);
+  CoverTable table(&binding.covers(), lists);
   const bool table_degree = choice.use_lattice || space.total() >= 4096;
   if (table_degree) table.ResolveSizes(bound, lists);
 
@@ -184,14 +178,12 @@ Result<std::optional<CardinalityResult>> ExactCardMaximal(
 }
 
 Result<std::optional<CardinalityResult>> GreedyCardinalityClimb(
-    onto::BoundOntology* bound, const WhyNotInstance& wni,
-    ConceptAnswerCovers* covers, const exec::ExecContext* exec,
-    exec::Certificate* cert) {
-  std::optional<ConceptAnswerCovers> local;
-  if (covers == nullptr) {
-    local.emplace(bound, InternAnswers(bound, wni));
-    covers = &*local;
-  }
+    Binding& binding, const Tuple& missing, const ExistenceOptions& options) {
+  WHYNOT_RETURN_IF_ERROR(binding.Check(/*needs_ontology=*/true));
+  onto::BoundOntology* bound = binding.bound();
+  ConceptAnswerCovers* covers = &binding.covers();
+  const exec::ExecContext* exec = options.exec;
+  exec::Certificate* cert = options.cert;
   // The greedy certificate is filled by hand rather than through
   // FillCertificate: a converged climb is still only a local optimum, so
   // its quality never rises above kHeuristic.
@@ -205,12 +197,14 @@ Result<std::optional<CardinalityResult>> GreedyCardinalityClimb(
     cert->progress.best_so_far = best;
   };
   Explanation seed;
+  // The seed search runs with the default budget and strategy; only
+  // execution control carries over.
   ExistenceOptions eopts;
   eopts.exec = exec;
   exec::Certificate seed_cert;
-  if (cert != nullptr) eopts.cert = &seed_cert;
+  eopts.cert = cert != nullptr ? &seed_cert : nullptr;
   WHYNOT_ASSIGN_OR_RETURN(bool exists,
-                          ExistsExplanation(bound, wni, &seed, eopts, covers));
+                          ExistsExplanation(binding, missing, eopts, &seed));
   if (!exists) {
     // Either no explanation exists or the seed search itself was stopped;
     // the seed certificate's stop distinguishes the two.
@@ -224,10 +218,10 @@ Result<std::optional<CardinalityResult>> GreedyCardinalityClimb(
 
   // Per-position candidate lists are loop-invariant; hoist them out of
   // the climb.
-  std::vector<std::vector<onto::ConceptId>> candidates(wni.arity());
-  for (size_t i = 0; i < wni.arity(); ++i) {
+  std::vector<std::vector<onto::ConceptId>> candidates(missing.size());
+  for (size_t i = 0; i < missing.size(); ++i) {
     candidates[i] =
-        bound->ConceptsContaining(bound->pool().Intern(wni.missing[i]));
+        bound->ConceptsContaining(bound->pool().Intern(missing[i]));
   }
 
   Explanation current = seed;
@@ -305,6 +299,20 @@ Result<std::optional<CardinalityResult>> GreedyCardinalityClimb(
   }
   fill_cert(halted.value_or(exec::Stop{}), degree.finite);
   return std::optional<CardinalityResult>(CardinalityResult{current, degree});
+}
+
+Result<std::optional<CardinalityResult>> ExactCardMaximal(
+    onto::BoundOntology* bound, const WhyNotInstance& wni,
+    const ExhaustiveOptions& options) {
+  Binding binding(bound, wni.answers);
+  return ExactCardMaximal(binding, wni.missing, options);
+}
+
+Result<std::optional<CardinalityResult>> GreedyCardinalityClimb(
+    onto::BoundOntology* bound, const WhyNotInstance& wni,
+    const ExistenceOptions& options) {
+  Binding binding(bound, wni.answers);
+  return GreedyCardinalityClimb(binding, wni.missing, options);
 }
 
 }  // namespace whynot::explain

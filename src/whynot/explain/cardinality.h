@@ -4,7 +4,9 @@
 #include <optional>
 
 #include "whynot/common/status.h"
+#include "whynot/explain/binding.h"
 #include "whynot/explain/exhaustive.h"
+#include "whynot/explain/existence.h"
 #include "whynot/explain/explanation.h"
 
 namespace whynot::explain {
@@ -40,39 +42,41 @@ struct CardinalityResult {
 /// Returns nullopt when no explanation exists. Among equal-degree
 /// explanations the witness is the first, in the serial odometer's order,
 /// that no other maximum-degree explanation strictly dominates — a
-/// canonical choice both search strategies produce identically. `covers`,
-/// when non-null, must be the answer-cover table of
-/// (bound, InternAnswers(bound, wni)) (a prepared ExplainSession's warm
-/// table); results are identical. `lattice` follows the
-/// ExhaustiveSearchAllMge contract; the frontier path additionally
-/// branch-and-bounds on the degree (a failing product strictly beaten by
-/// the best passing degree prunes its whole downset). Candidate lists
-/// containing an All-extension concept pin the search to the odometer:
-/// the degree order compares finite parts even between infinite degrees,
-/// which breaks the ≼-monotonicity the pruning relies on.
+/// canonical choice both search strategies produce identically. The
+/// frontier path additionally branch-and-bounds on the degree (a failing
+/// product strictly beaten by the best passing degree prunes its whole
+/// downset). Candidate lists containing an All-extension concept pin the
+/// search to the odometer: the degree order compares finite parts even
+/// between infinite degrees, which breaks the ≼-monotonicity the pruning
+/// relies on.
+Result<std::optional<CardinalityResult>> ExactCardMaximal(
+    Binding& binding, const Tuple& missing,
+    const ExhaustiveOptions& options = {});
+/// One-shot form over a temporary binding of (bound, wni.answers).
 Result<std::optional<CardinalityResult>> ExactCardMaximal(
     onto::BoundOntology* bound, const WhyNotInstance& wni,
-    const ExhaustiveOptions& options = {},
-    ConceptAnswerCovers* covers = nullptr, LatticeHandle* lattice = nullptr);
+    const ExhaustiveOptions& options = {});
 
-/// Greedy hill-climbing heuristic: starts from any explanation and
-/// repeatedly applies the single-position replacement that increases the
-/// degree most. Fast, but only reaches a local optimum — the
-/// bench_cardinality benchmark exhibits the approximation gap on
-/// set-cover-shaped families, illustrating Proposition 6.4's
-/// inapproximability. Returns nullopt when no explanation exists.
-/// Same `covers` contract as ExactCardMaximal.
+/// Greedy hill-climbing heuristic: starts from any explanation (found by
+/// ExistsExplanation with the default budget and strategy) and repeatedly
+/// applies the single-position replacement that increases the degree
+/// most. Fast, but only reaches a local optimum — the bench_cardinality
+/// benchmark exhibits the approximation gap on set-cover-shaped families,
+/// illustrating Proposition 6.4's inapproximability. Returns nullopt when
+/// no explanation exists.
 ///
-/// `exec` / `cert` follow the engine-wide contract (ExhaustiveOptions):
-/// probes are per climb candidate, and with `cert` a stop returns the
-/// current sound explanation instead of an error. Greedy certificates are
-/// always Quality::kHeuristic — complete() only says the climb converged
-/// to its local optimum, never that the degree is maximal.
+/// Only `options.exec` and `options.cert` are read. They follow the
+/// engine-wide contract (ExhaustiveOptions): probes are per climb
+/// candidate, and with a certificate a stop returns the current sound
+/// explanation instead of an error. Greedy certificates are always
+/// Quality::kHeuristic — complete() only says the climb converged to its
+/// local optimum, never that the degree is maximal.
+Result<std::optional<CardinalityResult>> GreedyCardinalityClimb(
+    Binding& binding, const Tuple& missing,
+    const ExistenceOptions& options = {});
 Result<std::optional<CardinalityResult>> GreedyCardinalityClimb(
     onto::BoundOntology* bound, const WhyNotInstance& wni,
-    ConceptAnswerCovers* covers = nullptr,
-    const exec::ExecContext* exec = nullptr,
-    exec::Certificate* cert = nullptr);
+    const ExistenceOptions& options = {});
 
 }  // namespace whynot::explain
 

@@ -9,26 +9,23 @@
 
 namespace whynot::explain {
 
-Result<bool> CheckMgeExternal(onto::BoundOntology* bound,
-                              const WhyNotInstance& wni,
+Result<bool> CheckMgeExternal(Binding& binding, const Tuple& missing,
                               const Explanation& candidate,
-                              ConceptAnswerCovers* covers,
-                              const exec::ExecContext* exec) {
-  if (candidate.size() != wni.arity()) {
+                              const ExhaustiveOptions& options) {
+  WHYNOT_RETURN_IF_ERROR(binding.Check(/*needs_ontology=*/true));
+  onto::BoundOntology* bound = binding.bound();
+  const exec::ExecContext* exec = options.exec;
+  if (candidate.size() != missing.size()) {
     return Status::InvalidArgument(
         "explanation arity does not match the missing tuple");
   }
   // Definition 3.2 inline (one answer interning, shared with the covers):
   // every aᵢ ∈ ext(Cᵢ), and the extension product avoids Ans.
   for (size_t i = 0; i < candidate.size(); ++i) {
-    ValueId id = bound->pool().Intern(wni.missing[i]);
+    ValueId id = bound->pool().Intern(missing[i]);
     if (!bound->Ext(candidate[i]).Contains(id)) return false;
   }
-  std::optional<ConceptAnswerCovers> local;
-  if (covers == nullptr) {
-    local.emplace(bound, InternAnswers(bound, wni));
-    covers = &*local;
-  }
+  ConceptAnswerCovers* covers = &binding.covers();
   if (covers->ProductIntersects(candidate)) return false;
   const std::vector<std::vector<ValueId>>& answers = covers->answers();
   const bool parallel =
@@ -114,32 +111,22 @@ Result<bool> CheckMgeExternal(onto::BoundOntology* bound,
   return true;
 }
 
-Result<bool> CheckMgeDerived(const WhyNotInstance& wni,
+Result<bool> CheckMgeDerived(Binding& binding, const Tuple& missing,
                              const LsExplanation& candidate,
-                             bool with_selections,
-                             ls::LubContext* lub_context,
-                             ls::EvalCache* cache, LsAnswerCovers* covers,
-                             ls::ConceptCache* concept_cache,
-                             const exec::ExecContext* exec) {
-  std::optional<ls::EvalCache> local_cache;
-  if (cache == nullptr) {
-    local_cache.emplace(wni.instance);
-    cache = &*local_cache;
-  }
-  std::optional<LsAnswerCovers> local_covers;
-  if (covers == nullptr) {
-    local_covers.emplace(wni.instance, &wni.answers);
-    covers = &*local_covers;
-  }
-  std::optional<ls::ConceptCache> local_cc;
-  if (concept_cache == nullptr) {
-    local_cc.emplace(wni.instance);
-    concept_cache = &*local_cc;
-  }
-  if (!IsLsExplanation(wni, candidate, cache, covers)) return false;
-  const ValuePool& pool = wni.instance->pool();
-  const std::vector<Value>& adom = wni.instance->ActiveDomain();
-  const std::vector<ValueId>& adom_ids = wni.instance->ActiveDomainIds();
+                             const IncrementalOptions& options) {
+  WHYNOT_RETURN_IF_ERROR(binding.Check(/*needs_ontology=*/false));
+  const rel::Instance* instance = binding.instance();
+  const bool with_selections = options.with_selections;
+  const exec::ExecContext* exec = options.exec;
+  ls::EvalCache* cache = &binding.eval_cache();
+  LsAnswerCovers* covers = &binding.ls_covers();
+  ls::ConceptCache* concept_cache = &binding.concept_cache();
+  WHYNOT_ASSIGN_OR_RETURN(bool explains,
+                          IsLsExplanation(binding, missing, candidate));
+  if (!explains) return false;
+  const ValuePool& pool = instance->pool();
+  const std::vector<Value>& adom = instance->ActiveDomain();
+  const std::vector<ValueId>& adom_ids = instance->ActiveDomainIds();
   std::vector<const ls::Extension*> exts;
   exts.reserve(candidate.size());
   for (const ls::LsConcept& c : candidate) exts.push_back(&cache->Eval(c));
@@ -150,7 +137,7 @@ Result<bool> CheckMgeDerived(const WhyNotInstance& wni,
     // (search_core.h): workers own their lazy caches, the instance is
     // pre-warmed, and the outcome at the smallest (j, bi) wins so results
     // match the serial scan exactly.
-    wni.instance->WarmForConcurrentReads();
+    instance->WarmForConcurrentReads();
     struct Worker {
       ls::LubContext lub;
       ls::EvalCache cache;
@@ -178,8 +165,8 @@ Result<bool> CheckMgeDerived(const WhyNotInstance& wni,
     std::vector<std::unique_ptr<Worker>> workers(
         static_cast<size_t>(par::MaxWorkers()));
     auto make_worker = [&]() {
-      return std::make_unique<Worker>(wni.instance, &wni.answers,
-                                      lub_context->options(), candidate,
+      return std::make_unique<Worker>(instance, &binding.answers(),
+                                      binding.lub_options(), candidate,
                                       concept_cache, with_selections);
     };
     for (size_t j = 0; j < candidate.size(); ++j) {
@@ -194,13 +181,13 @@ Result<bool> CheckMgeDerived(const WhyNotInstance& wni,
       // (serial probe; one AND).
       if (!covers->ProductIntersects(exts, j, &top_ext)) return false;
 
-      ValueId missing_id = pool.Lookup(wni.missing[j]);
+      ValueId missing_id = pool.Lookup(missing[j]);
       std::optional<ProbeOutcome> outcome = LexMinSweep<Worker, ProbeOutcome>(
           adom.size(), 8, &workers, make_worker,
           [&](Worker& wk, size_t bi) -> std::optional<ProbeOutcome> {
             if (wk.support_pos != j) {
               wk.support = wk.exts[j]->values();
-              wk.support.push_back(wni.missing[j]);
+              wk.support.push_back(missing[j]);
               wk.support_pos = j;
             }
             if (wk.exts[j]->ContainsId(adom_ids[bi])) return std::nullopt;
@@ -215,7 +202,7 @@ Result<bool> CheckMgeDerived(const WhyNotInstance& wni,
             if (!cand.ok()) {
               return ProbeOutcome{false, cand.status()};
             }
-            if ((*cand)->ContainsInterned(missing_id, wni.missing[j]) &&
+            if ((*cand)->ContainsInterned(missing_id, missing[j]) &&
                 !wk.covers.ProductIntersects(wk.exts, j, cand->get())) {
               return ProbeOutcome{true, Status::OK()};
             }
@@ -224,7 +211,7 @@ Result<bool> CheckMgeDerived(const WhyNotInstance& wni,
           exec);
       // Publish-after-sweep: drain the worker overlays in slot order (a
       // thread-independent linearization) at this serial point, so later
-      // positions — and later requests against a session cache — reuse
+      // positions — and later searches on the same binding — reuse
       // the lubs this sweep computed.
       for (std::unique_ptr<Worker>& wk : workers) {
         if (wk != nullptr) concept_cache->Publish(&wk->overlay);
@@ -245,10 +232,10 @@ Result<bool> CheckMgeDerived(const WhyNotInstance& wni,
   }
 
   // Serial maximality probes through a single overlay over the shared
-  // cache; published on every return path so later requests against a
-  // session cache start warm.
-  ls::ConceptCacheOverlay overlay(concept_cache, with_selections, lub_context,
-                                  cache);
+  // cache; published on every return path so later searches on the same
+  // binding start warm.
+  ls::ConceptCacheOverlay overlay(concept_cache, with_selections,
+                                  &binding.lub(), cache);
   ls::ScopedPublish publish(concept_cache, &overlay);
   for (size_t j = 0; j < candidate.size(); ++j) {
     if (std::optional<exec::Stop> s = exec::Check(exec, j)) {
@@ -266,8 +253,8 @@ Result<bool> CheckMgeDerived(const WhyNotInstance& wni,
     // lines 4-11 of Algorithm 2, used as a maximality test: lub-generalize
     // by each uncovered active-domain constant.
     std::vector<Value> support = ext.values();
-    support.push_back(wni.missing[j]);
-    ValueId missing_id = pool.Lookup(wni.missing[j]);
+    support.push_back(missing[j]);
+    ValueId missing_id = pool.Lookup(missing[j]);
     for (size_t bi = 0; bi < adom.size(); ++bi) {
       if (ext.ContainsId(adom_ids[bi])) continue;
       std::vector<Value> extended = support;
@@ -276,13 +263,28 @@ Result<bool> CheckMgeDerived(const WhyNotInstance& wni,
       // no support-tier record — see the parallel branch above.
       WHYNOT_ASSIGN_OR_RETURN(std::shared_ptr<const ls::Extension> cand,
                               overlay.LubExtTransient(extended));
-      if (cand->ContainsInterned(missing_id, wni.missing[j]) &&
+      if (cand->ContainsInterned(missing_id, missing[j]) &&
           !covers->ProductIntersects(exts, j, cand.get())) {
         return false;
       }
     }
   }
   return true;
+}
+
+Result<bool> CheckMgeExternal(onto::BoundOntology* bound,
+                              const WhyNotInstance& wni,
+                              const Explanation& candidate,
+                              const ExhaustiveOptions& options) {
+  Binding binding(bound, wni.answers);
+  return CheckMgeExternal(binding, wni.missing, candidate, options);
+}
+
+Result<bool> CheckMgeDerived(const WhyNotInstance& wni,
+                             const LsExplanation& candidate,
+                             const IncrementalOptions& options) {
+  Binding binding(wni.instance, wni.answers);
+  return CheckMgeDerived(binding, wni.missing, candidate, options);
 }
 
 }  // namespace whynot::explain

@@ -5,12 +5,16 @@
 #include "whynot/common/status.h"
 #include "whynot/concepts/concept_cache.h"
 #include "whynot/concepts/lub.h"
+#include "whynot/explain/binding.h"
+#include "whynot/explain/exhaustive.h"
 #include "whynot/explain/explanation.h"
+#include "whynot/explain/incremental.h"
 
 namespace whynot::explain {
 
 /// CHECK-MGE (Definition 5.3, Theorem 5.1.1, PTIME): is the candidate a
-/// most-general explanation w.r.t. the bound finite ontology?
+/// most-general explanation for `missing` w.r.t. the binding's finite
+/// ontology?
 ///
 /// Method (as in the paper): first check it is an explanation; then, for
 /// each position, try every strictly-more-general replacement concept — if
@@ -18,17 +22,18 @@ namespace whynot::explain {
 /// most general. Single-position replacement is complete because a
 /// pointwise-greater explanation stays an explanation when all other
 /// positions are shrunk back.
-/// `covers`, when non-null, must be the answer-cover table of
-/// (bound, InternAnswers(bound, wni)) — a prepared ExplainSession's warm
-/// table; results are identical either way. `exec` is observed once per
-/// candidate position, at the same serial point on the serial and sharded
-/// paths; the boolean verdict admits no meaningful partial result, so a
-/// stop always returns the matching error status.
+/// Only `options.exec` is read: it is observed once per candidate
+/// position, at the same serial point on the serial and sharded paths;
+/// the boolean verdict admits no meaningful partial result, so a stop
+/// always returns the matching error status.
+Result<bool> CheckMgeExternal(Binding& binding, const Tuple& missing,
+                              const Explanation& candidate,
+                              const ExhaustiveOptions& options = {});
+/// One-shot form over a temporary binding of (bound, wni.answers).
 Result<bool> CheckMgeExternal(onto::BoundOntology* bound,
                               const WhyNotInstance& wni,
                               const Explanation& candidate,
-                              ConceptAnswerCovers* covers = nullptr,
-                              const exec::ExecContext* exec = nullptr);
+                              const ExhaustiveOptions& options = {});
 
 /// CHECK-MGE W.R.T. OI (Definition 5.7, Proposition 5.2): is the candidate
 /// LS-explanation most general w.r.t. the instance-derived ontology OI?
@@ -38,24 +43,18 @@ Result<bool> CheckMgeExternal(onto::BoundOntology* bound,
 /// lub(ext(Cj,I) ∪ {b}); the candidate is an MGE iff no replacement (and no
 /// generalization to ⊤) keeps the tuple an explanation. PTIME for
 /// selection-free LS and for bounded schema arity, EXPTIME in general.
-/// `cache` / `covers`, when non-null, are a prepared session's warm
-/// extension memo and answer-cover table over (wni.instance, wni.answers);
-/// per-call locals are created otherwise, with identical results.
-/// `concept_cache`, when non-null, is the shared lub/eval cache the
-/// maximality probes run through (published-tier lookups during a sharded
-/// sweep, misses published at its serial end; a session cache carries the
-/// entries to later requests). Null uses a call-local cache; verdicts and
-/// errors are identical either way.
-/// `exec` follows the CheckMgeExternal contract (one probe per position,
-/// stops are always errors).
+/// `options.with_selections` picks the lub flavor; the maximality probes
+/// run through the binding's shared concept cache (published-tier lookups
+/// during a sharded sweep, misses published at its serial end).
+/// `options.exec` follows the CheckMgeExternal contract (one probe per
+/// position, stops are always errors); no other field is read.
+Result<bool> CheckMgeDerived(Binding& binding, const Tuple& missing,
+                             const LsExplanation& candidate,
+                             const IncrementalOptions& options = {});
+/// One-shot form over a temporary binding of (wni.instance, wni.answers).
 Result<bool> CheckMgeDerived(const WhyNotInstance& wni,
                              const LsExplanation& candidate,
-                             bool with_selections,
-                             ls::LubContext* lub_context,
-                             ls::EvalCache* cache = nullptr,
-                             LsAnswerCovers* covers = nullptr,
-                             ls::ConceptCache* concept_cache = nullptr,
-                             const exec::ExecContext* exec = nullptr);
+                             const IncrementalOptions& options = {});
 
 }  // namespace whynot::explain
 

@@ -76,18 +76,19 @@ using ExtKey = std::tuple<bool, std::vector<ValueId>, std::vector<Value>>;
 /// speeds the single-thread path as much as the parallel one.
 class NodeEvaluator {
  public:
-  NodeEvaluator(const WhyNotInstance& wni, const EnumerateOptions& options,
-                ls::LubContext* lub, ls::ConceptCache* cache)
-      : wni_(wni),
+  NodeEvaluator(const Binding& binding, const Tuple& missing,
+                const EnumerateOptions& options, ls::LubContext* lub,
+                ls::ConceptCache* cache)
+      : missing_(missing),
         options_(options),
         overlay_(cache, options.with_selections, lub),
-        adom_(wni.instance->ActiveDomain()),
-        adom_ids_(wni.instance->ActiveDomainIds()),
-        covers_(wni.instance, &wni.answers),
-        nwords_((wni.answers.size() + 63) / 64),
+        adom_(binding.instance()->ActiveDomain()),
+        adom_ids_(binding.instance()->ActiveDomainIds()),
+        covers_(binding.instance(), &binding.answers()),
+        nwords_((binding.answers().size() + 63) / 64),
         top_ext_(ls::Extension::All()) {
     full_.assign(nwords_, ~uint64_t{0});
-    size_t rest = wni.answers.size() % 64;
+    size_t rest = binding.answers().size() % 64;
     if (nwords_ > 0 && rest != 0) full_.back() = (uint64_t{1} << rest) - 1;
   }
 
@@ -95,13 +96,13 @@ class NodeEvaluator {
   // the nominal-pinned tuple and, in fixed (position, constant) order, add
   // every non-excluded generalization that keeps the tuple an explanation.
   Status GreedyComplete(const ExclusionSet& excluded, GreedyState* state) {
-    size_t m = wni_.arity();
+    size_t m = missing_.size();
     state->support.resize(m);
     state->topped.assign(m, false);
     state->concepts.resize(m);
     state->exts.resize(m);
     for (size_t j = 0; j < m; ++j) {
-      state->support[j] = {wni_.missing[j]};
+      state->support[j] = {missing_[j]};
       WHYNOT_ASSIGN_OR_RETURN(auto ce, LubAndEval(state->support[j]));
       state->concepts[j] = *ce.first;
       state->exts[j] = ce.second;
@@ -160,7 +161,7 @@ class NodeEvaluator {
   // the output maximal in the unconstrained system.
   Result<bool> MaximalUnconstrained(const ExclusionSet& excluded,
                                     const GreedyState& state) {
-    size_t m = wni_.arity();
+    size_t m = missing_.size();
     // The same prefix/suffix cache over the *final* covers (fixed during
     // this pass); the exclusion set iterates in ascending position order,
     // exactly the non-decreasing j the cache requires.
@@ -229,7 +230,7 @@ class NodeEvaluator {
     return ConceptAnswerCovers::AnyAnd(a, b);
   }
 
-  const WhyNotInstance& wni_;
+  const Tuple& missing_;
   const EnumerateOptions& options_;
   ls::ConceptCacheOverlay overlay_;
   const std::vector<Value>& adom_;
@@ -254,11 +255,10 @@ struct NodeResult {
 
 class Enumerator {
  public:
-  Enumerator(const WhyNotInstance& wni, const EnumerateOptions& options,
-             ls::LubContext* lub, ls::ConceptCache* cache,
-             EnumerateStats* stats)
-      : wni_(wni), options_(options), lub_(lub), cache_(cache),
-        stats_(stats) {}
+  Enumerator(Binding& binding, const Tuple& missing,
+             const EnumerateOptions& options, EnumerateStats* stats)
+      : binding_(binding), missing_(missing), options_(options),
+        cache_(&binding.concept_cache()), stats_(stats) {}
 
   // Exclusion-branching enumeration of maximal independent sets
   // (Lawler-style), specialized to this monotone system:
@@ -299,13 +299,13 @@ class Enumerator {
   // through explicit exclusions.
   Result<std::vector<LsExplanation>> Run() {
     if (par::NumThreads() > 1) {
-      wni_.instance->WarmForConcurrentReads();
+      binding_.instance()->WarmForConcurrentReads();
       return RunParallel();
     }
-    NodeEvaluator evaluator(wni_, options_, lub_, cache_);
-    // Whatever this run computes becomes visible to the next request
-    // against the same cache (session reuse), on success and error paths
-    // alike.
+    NodeEvaluator evaluator(binding_, missing_, options_, &binding_.lub(),
+                            cache_);
+    // Whatever this run computes becomes visible to the next search on
+    // the same binding, on success and error paths alike.
     ls::ScopedPublish publish(cache_, evaluator.overlay());
     std::vector<LsExplanation> results;
     std::set<std::vector<ExtKey>> seen_outputs;
@@ -442,9 +442,10 @@ class Enumerator {
             size_t slot = static_cast<size_t>(w);
             if (workers[slot] == nullptr) {
               worker_lubs[slot] = std::make_unique<ls::LubContext>(
-                  wni_.instance, options_.lub);
+                  binding_.instance(), binding_.lub_options());
               workers[slot] = std::make_unique<NodeEvaluator>(
-                  wni_, options_, worker_lubs[slot].get(), cache_);
+                  binding_, missing_, options_, worker_lubs[slot].get(),
+                  cache_);
             }
             NodeEvaluator& evaluator = *workers[slot];
             for (size_t i = begin; i < end; ++i) {
@@ -558,9 +559,9 @@ class Enumerator {
     return Finish(std::move(results));
   }
 
-  const WhyNotInstance& wni_;
+  Binding& binding_;
+  const Tuple& missing_;
   const EnumerateOptions& options_;
-  ls::LubContext* lub_;
   ls::ConceptCache* cache_;
   EnumerateStats* stats_;
   std::optional<exec::Stop> halted_;
@@ -570,26 +571,17 @@ class Enumerator {
 }  // namespace
 
 Result<std::vector<LsExplanation>> EnumerateAllMges(
-    const WhyNotInstance& wni, const EnumerateOptions& options,
-    EnumerateStats* stats, ls::LubContext* lub_context,
-    ls::ConceptCache* concept_cache) {
+    Binding& binding, const Tuple& missing, const EnumerateOptions& options,
+    EnumerateStats* stats) {
+  WHYNOT_RETURN_IF_ERROR(binding.Check(/*needs_ontology=*/false));
   EnumerateStats local_stats;
   if (stats == nullptr) stats = &local_stats;
   *stats = EnumerateStats{};
-  std::optional<ls::LubContext> local_lub;
-  if (lub_context == nullptr) {
-    local_lub.emplace(wni.instance, options.lub);
-    lub_context = &*local_lub;
-  }
-  std::optional<ls::ConceptCache> local_cache;
-  if (concept_cache == nullptr) {
-    local_cache.emplace(wni.instance);
-    concept_cache = &*local_cache;
-  }
+  ls::ConceptCache* concept_cache = &binding.concept_cache();
   const ls::ConceptCacheStats before = concept_cache->stats();
-  Enumerator enumerator(wni, options, lub_context, concept_cache, stats);
+  Enumerator enumerator(binding, missing, options, stats);
   Result<std::vector<LsExplanation>> result = enumerator.Run();
-  // Attribute this run's cache traffic (a session cache accumulates
+  // Attribute this run's cache traffic (a binding's cache accumulates
   // across requests; the stats block reports per-call deltas).
   const ls::ConceptCacheStats& after = concept_cache->stats();
   stats->cache_shared_hits = after.shared_hits - before.shared_hits;
@@ -598,6 +590,13 @@ Result<std::vector<LsExplanation>> EnumerateAllMges(
   stats->cache_publishes = after.publishes - before.publishes;
   stats->cache_evictions = after.evictions - before.evictions;
   return result;
+}
+
+Result<std::vector<LsExplanation>> EnumerateAllMges(
+    const WhyNotInstance& wni, const EnumerateOptions& options,
+    EnumerateStats* stats) {
+  Binding binding(wni.instance, wni.answers);
+  return EnumerateAllMges(binding, wni.missing, options, stats);
 }
 
 }  // namespace whynot::explain

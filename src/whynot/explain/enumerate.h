@@ -8,6 +8,7 @@
 #include "whynot/common/status.h"
 #include "whynot/concepts/concept_cache.h"
 #include "whynot/concepts/lub.h"
+#include "whynot/explain/binding.h"
 #include "whynot/explain/explanation.h"
 
 namespace whynot::explain {
@@ -39,8 +40,6 @@ struct EnumerateOptions {
   /// still a verified MGE, but rare MGEs may be missed. The benchmark
   /// bench_enumerate measures the gap.
   bool expand_duplicate_nodes = true;
-
-  ls::LubOptions lub;
 
   /// Optional execution control, observed once per branch-tree node at the
   /// serial consumption point (queue pop / wave merge), so node ordinals —
@@ -104,24 +103,22 @@ struct EnumerateStats {
 /// w.r.t. OI. Ordering is deterministic (discovery order of the
 /// deterministic branching).
 ///
-/// `lub_context`, when non-null, is reused for the serial evaluator
-/// (a prepared ExplainSession keeps its canonical boxes warm across
-/// requests; with more than one pool thread the wave workers still build
-/// their own contexts, as in the one-shot call). Results, ordering, and
-/// stats are bit-identical either way.
-///
-/// `concept_cache`, when non-null, is the shared lub/eval cache: node
-/// evaluators (serial and per-worker alike) probe its published tier
-/// during waves and publish their misses at the wave-end serial point, so
-/// lubs computed by one worker are shared by all workers of later waves —
-/// and, when the cache belongs to an ExplainSession, by later requests.
-/// Null runs against a run-local cache. Either way the output, the
-/// deterministic stats, and errors are bit-identical (cache entries are
-/// pure functions of the instance).
+/// Every node evaluator — the serial one and each wave worker's — probes
+/// the binding's shared concept cache: its published tier is read during
+/// waves and misses publish at the wave-end serial point, so lubs computed
+/// by one worker are shared by all workers of later waves and by later
+/// searches on the same binding. The serial evaluator reuses the binding's
+/// lub context; wave workers build their own with the binding's lub
+/// limits. The output, the deterministic stats, and errors are
+/// bit-identical to a fresh binding's (cache entries are pure functions of
+/// the instance). `stats` may be null.
+Result<std::vector<LsExplanation>> EnumerateAllMges(
+    Binding& binding, const Tuple& missing, const EnumerateOptions& options,
+    EnumerateStats* stats);
+/// One-shot form over a temporary binding of (wni.instance, wni.answers).
 Result<std::vector<LsExplanation>> EnumerateAllMges(
     const WhyNotInstance& wni, const EnumerateOptions& options = {},
-    EnumerateStats* stats = nullptr, ls::LubContext* lub_context = nullptr,
-    ls::ConceptCache* concept_cache = nullptr);
+    EnumerateStats* stats = nullptr);
 
 }  // namespace whynot::explain
 

@@ -1,7 +1,6 @@
 #include "whynot/explain/exhaustive.h"
 
 #include <algorithm>
-#include <optional>
 #include <utility>
 
 #include "whynot/explain/search_core.h"
@@ -13,10 +12,12 @@ namespace {
 /// C(a_i): the concepts whose extension contains a_i (line 1 of
 /// Algorithm 1).
 Result<std::vector<std::vector<onto::ConceptId>>> CandidateLists(
-    onto::BoundOntology* bound, const WhyNotInstance& wni) {
-  std::vector<std::vector<onto::ConceptId>> lists(wni.arity());
-  for (size_t i = 0; i < wni.arity(); ++i) {
-    ValueId id = bound->pool().Intern(wni.missing[i]);
+    Binding& binding, const Tuple& missing) {
+  WHYNOT_RETURN_IF_ERROR(binding.Check(/*needs_ontology=*/true));
+  onto::BoundOntology* bound = binding.bound();
+  std::vector<std::vector<onto::ConceptId>> lists(missing.size());
+  for (size_t i = 0; i < missing.size(); ++i) {
+    ValueId id = bound->pool().Intern(missing[i]);
     lists[i] = bound->ConceptsContaining(id);
     if (lists[i].empty()) return lists;  // no explanation can exist
   }
@@ -40,20 +41,17 @@ Result<std::vector<std::vector<onto::ConceptId>>> CandidateLists(
 /// prefix; see ExhaustiveOptions::cert.
 template <typename Visit>
 Status EnumerateExplanations(
-    onto::BoundOntology* bound, const WhyNotInstance& wni,
-    const std::vector<std::vector<onto::ConceptId>>& lists,
-    ConceptAnswerCovers* covers, const ExhaustiveOptions& options,
-    LatticeHandle* lattice, Visit visit, exec::Stop* stop = nullptr,
+    Binding& binding, const std::vector<std::vector<onto::ConceptId>>& lists,
+    const ExhaustiveOptions& options, Visit visit, exec::Stop* stop = nullptr,
     exec::Progress* progress = nullptr) {
-  size_t m = wni.arity();
+  size_t m = lists.size();
   for (const auto& list : lists) {
     if (list.empty()) return Status::OK();
   }
   CandidateSpace space(lists);
-  std::unique_ptr<LatticeHandle> local_lattice;
-  LatticeChoice choice =
-      ChooseStrategy(options.strategy, space, options.max_candidates, bound,
-                     lattice, &local_lattice);
+  LatticeChoice choice = ChooseStrategy(options.strategy, space,
+                                        options.max_candidates,
+                                        binding.lattice());
 
   if (!choice.use_lattice && stop == nullptr &&
       (space.overflow() || space.total() > options.max_candidates)) {
@@ -61,7 +59,7 @@ Status EnumerateExplanations(
         "candidate enumeration exceeded max_candidates (the space is "
         "exponential in the query arity, Theorem 5.2)");
   }
-  CoverTable table(covers, lists);
+  CoverTable table(&binding.covers(), lists);
   std::vector<onto::ConceptId> current(m);
   auto pred = [&](const std::vector<size_t>& idx) {
     return !table.ProductAnyAt(idx);
@@ -112,16 +110,10 @@ Status EnumerateExplanations(
 }  // namespace
 
 Result<std::vector<Explanation>> ExhaustiveSearchAllMge(
-    onto::BoundOntology* bound, const WhyNotInstance& wni,
-    const ExhaustiveOptions& options, ConceptAnswerCovers* covers,
-    LatticeHandle* lattice) {
+    Binding& binding, const Tuple& missing, const ExhaustiveOptions& options) {
   WHYNOT_ASSIGN_OR_RETURN(std::vector<std::vector<onto::ConceptId>> lists,
-                          CandidateLists(bound, wni));
-  std::optional<ConceptAnswerCovers> local;
-  if (covers == nullptr) {
-    local.emplace(bound, InternAnswers(bound, wni));
-    covers = &*local;
-  }
+                          CandidateLists(binding, missing));
+  onto::BoundOntology* bound = binding.bound();
 
   // Line 2: the set X of all explanations. (On the frontier path X is
   // already the maximal antichain, so lines 3-5 below pass it through.)
@@ -130,7 +122,7 @@ Result<std::vector<Explanation>> ExhaustiveSearchAllMge(
   exec::Progress progress;
   bool certified = options.cert != nullptr;
   WHYNOT_RETURN_IF_ERROR(EnumerateExplanations(
-      bound, wni, lists, covers, options, lattice,
+      binding, lists, options,
       [&x](const Explanation& e) {
         x.push_back(e);
         return true;
@@ -165,23 +157,17 @@ Result<std::vector<Explanation>> ExhaustiveSearchAllMge(
 }
 
 Result<std::vector<Explanation>> PrunedSearchAllMge(
-    onto::BoundOntology* bound, const WhyNotInstance& wni,
-    const ExhaustiveOptions& options, ConceptAnswerCovers* covers,
-    LatticeHandle* lattice) {
+    Binding& binding, const Tuple& missing, const ExhaustiveOptions& options) {
   WHYNOT_ASSIGN_OR_RETURN(std::vector<std::vector<onto::ConceptId>> lists,
-                          CandidateLists(bound, wni));
-  std::optional<ConceptAnswerCovers> local;
-  if (covers == nullptr) {
-    local.emplace(bound, InternAnswers(bound, wni));
-    covers = &*local;
-  }
+                          CandidateLists(binding, missing));
+  onto::BoundOntology* bound = binding.bound();
 
   std::vector<Explanation> antichain;
   exec::Stop stop;
   exec::Progress progress;
   bool certified = options.cert != nullptr;
   WHYNOT_RETURN_IF_ERROR(EnumerateExplanations(
-      bound, wni, lists, covers, options, lattice,
+      binding, lists, options,
       [&](const Explanation& e) {
         // Skip candidates dominated by (or equivalent to) a kept one.
         for (const Explanation& kept : antichain) {
@@ -201,6 +187,20 @@ Result<std::vector<Explanation>> PrunedSearchAllMge(
   std::sort(antichain.begin(), antichain.end());
   exec::FillCertificate(options.cert, stop, progress, antichain.size());
   return antichain;
+}
+
+Result<std::vector<Explanation>> ExhaustiveSearchAllMge(
+    onto::BoundOntology* bound, const WhyNotInstance& wni,
+    const ExhaustiveOptions& options) {
+  Binding binding(bound, wni.answers);
+  return ExhaustiveSearchAllMge(binding, wni.missing, options);
+}
+
+Result<std::vector<Explanation>> PrunedSearchAllMge(
+    onto::BoundOntology* bound, const WhyNotInstance& wni,
+    const ExhaustiveOptions& options) {
+  Binding binding(bound, wni.answers);
+  return PrunedSearchAllMge(binding, wni.missing, options);
 }
 
 }  // namespace whynot::explain

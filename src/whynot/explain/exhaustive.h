@@ -5,6 +5,7 @@
 
 #include "whynot/common/exec_control.h"
 #include "whynot/common/status.h"
+#include "whynot/explain/binding.h"
 #include "whynot/explain/explanation.h"
 #include "whynot/explain/lattice.h"
 
@@ -40,34 +41,32 @@ struct ExhaustiveOptions {
 };
 
 /// Algorithm 1 (EXHAUSTIVE SEARCH): computes the set of *all* most-general
-/// explanations for the why-not instance w.r.t. the bound finite ontology.
+/// explanations for `missing` ∉ Ans w.r.t. the binding's finite ontology.
 /// Runs in EXPTIME in general and PTIME for fixed query arity
 /// (Theorem 5.2). The result is an antichain under ≤_O containing, modulo
 /// equivalence, every most-general explanation; explanations are returned
-/// in lexicographic concept-id order.
-///
-/// `covers`, when non-null, must be the answer-cover table of
-/// (bound, InternAnswers(bound, wni)); a prepared ExplainSession passes
-/// its warm table so repeated requests skip the per-call cover rebuild.
-/// Results are identical either way (covers are a pure function of the
-/// bound extensions and the answer set). `lattice`, when non-null, is a
-/// (possibly still unbuilt) LatticeHandle over the same binding, consulted
-/// only when the strategy resolves to the frontier path; results are
-/// identical to a locally built lattice.
+/// in lexicographic concept-id order. The binding's answer covers and
+/// lattice are reused across calls; results are identical to a fresh
+/// binding's.
+Result<std::vector<Explanation>> ExhaustiveSearchAllMge(
+    Binding& binding, const Tuple& missing,
+    const ExhaustiveOptions& options = {});
+/// One-shot form over a temporary binding of (bound, wni.answers).
 Result<std::vector<Explanation>> ExhaustiveSearchAllMge(
     onto::BoundOntology* bound, const WhyNotInstance& wni,
-    const ExhaustiveOptions& options = {},
-    ConceptAnswerCovers* covers = nullptr, LatticeHandle* lattice = nullptr);
+    const ExhaustiveOptions& options = {});
 
 /// Optimized variant of Algorithm 1 used as an ablation baseline: maintains
 /// the maximal antichain incrementally while enumerating (instead of
 /// generating all explanations first and filtering pairwise afterwards) and
 /// skips candidates already dominated. Produces exactly the same set as
-/// ExhaustiveSearchAllMge. Same `covers` and `lattice` contracts as above.
+/// ExhaustiveSearchAllMge.
+Result<std::vector<Explanation>> PrunedSearchAllMge(
+    Binding& binding, const Tuple& missing,
+    const ExhaustiveOptions& options = {});
 Result<std::vector<Explanation>> PrunedSearchAllMge(
     onto::BoundOntology* bound, const WhyNotInstance& wni,
-    const ExhaustiveOptions& options = {},
-    ConceptAnswerCovers* covers = nullptr, LatticeHandle* lattice = nullptr);
+    const ExhaustiveOptions& options = {});
 
 }  // namespace whynot::explain
 

@@ -21,18 +21,14 @@ constexpr size_t kMinParallelAndWords = 4096;
 /// one word-parallel AND with its answer-cover bitmap.
 class Search {
  public:
-  Search(onto::BoundOntology* bound, const WhyNotInstance& wni,
-         const ExistenceOptions& options, ConceptAnswerCovers* covers,
-         LatticeHandle* lattice)
-      : options_(options), covers_(covers) {
-    if (covers_ == nullptr) {
-      local_covers_.emplace(bound, InternAnswers(bound, wni));
-      covers_ = &*local_covers_;
-    }
-    m_ = wni.arity();
+  Search(Binding& binding, const Tuple& missing,
+         const ExistenceOptions& options)
+      : options_(options), covers_(&binding.covers()) {
+    onto::BoundOntology* bound = binding.bound();
+    m_ = missing.size();
     candidates_.resize(m_);
     for (size_t i = 0; i < m_; ++i) {
-      ValueId id = bound->pool().Intern(wni.missing[i]);
+      ValueId id = bound->pool().Intern(missing[i]);
       candidates_[i] = bound->ConceptsContaining(id);
     }
     if (options.strategy == SearchStrategy::kLattice) {
@@ -42,13 +38,7 @@ class Search {
       // The restriction preserves per-position candidate order, so the
       // traversal stays deterministic — but the witness can differ from
       // the unrestricted backtracker's.
-      std::unique_ptr<LatticeHandle> local_lattice;
-      LatticeHandle* h = lattice;
-      if (h == nullptr) {
-        local_lattice = std::make_unique<LatticeHandle>(bound);
-        h = local_lattice.get();
-      }
-      const ConceptLattice& lat = h->Get();
+      const ConceptLattice& lat = binding.lattice().Get();
       for (size_t i = 0; i < m_; ++i) {
         candidates_[i] = lat.MinimalOf(candidates_[i]);
       }
@@ -181,7 +171,6 @@ class Search {
   size_t m_ = 0;
   std::vector<std::vector<onto::ConceptId>> candidates_;
   ConceptAnswerCovers* covers_;
-  std::optional<ConceptAnswerCovers> local_covers_;
   // Pre-resolved cover views per position (parallel runs only; empty
   // in the serial configuration, which keeps the lazy one-at-a-time path).
   std::vector<std::vector<CoverView>> cover_table_;
@@ -193,14 +182,20 @@ class Search {
 
 }  // namespace
 
+Result<bool> ExistsExplanation(Binding& binding, const Tuple& missing,
+                               const ExistenceOptions& options,
+                               Explanation* witness) {
+  WHYNOT_RETURN_IF_ERROR(binding.Check(/*needs_ontology=*/true));
+  Search search(binding, missing, options);
+  return search.Run(witness);
+}
+
 Result<bool> ExistsExplanation(onto::BoundOntology* bound,
                                const WhyNotInstance& wni,
                                Explanation* witness,
-                               const ExistenceOptions& options,
-                               ConceptAnswerCovers* covers,
-                               LatticeHandle* lattice) {
-  Search search(bound, wni, options, covers, lattice);
-  return search.Run(witness);
+                               const ExistenceOptions& options) {
+  Binding binding(bound, wni.answers);
+  return ExistsExplanation(binding, wni.missing, options, witness);
 }
 
 }  // namespace whynot::explain

@@ -5,6 +5,7 @@
 
 #include "whynot/common/exec_control.h"
 #include "whynot/common/status.h"
+#include "whynot/explain/binding.h"
 #include "whynot/explain/explanation.h"
 #include "whynot/explain/lattice.h"
 
@@ -35,21 +36,19 @@ struct ExistenceOptions {
 };
 
 /// EXISTENCE-OF-EXPLANATION (Definition 5.2): does any explanation for
-/// a ∉ Ans exist w.r.t. the bound ontology? NP-complete in general, even
-/// for bounded schema arity (Theorem 5.1.2); decided by backtracking over
-/// positions with answer-set pruning and memoization of defeated states.
-/// If `witness` is non-null and an explanation exists, one is stored.
-/// `covers`, when non-null, must be the answer-cover table of
-/// (bound, InternAnswers(bound, wni)) (a prepared ExplainSession's warm
-/// table); the traversal, witness, and node counts are identical.
-/// `lattice` follows the ExhaustiveSearchAllMge contract and is consulted
-/// only under ExistenceOptions::strategy == kLattice.
+/// `missing` ∉ Ans exist w.r.t. the binding's ontology? NP-complete in
+/// general, even for bounded schema arity (Theorem 5.1.2); decided by
+/// backtracking over positions with answer-set pruning and memoization of
+/// defeated states. If `witness` is non-null and an explanation exists,
+/// one is stored.
+Result<bool> ExistsExplanation(Binding& binding, const Tuple& missing,
+                               const ExistenceOptions& options,
+                               Explanation* witness);
+/// One-shot form over a temporary binding of (bound, wni.answers).
 Result<bool> ExistsExplanation(onto::BoundOntology* bound,
                                const WhyNotInstance& wni,
                                Explanation* witness = nullptr,
-                               const ExistenceOptions& options = {},
-                               ConceptAnswerCovers* covers = nullptr,
-                               LatticeHandle* lattice = nullptr);
+                               const ExistenceOptions& options = {});
 
 }  // namespace whynot::explain
 

@@ -4,11 +4,11 @@
 
 namespace whynot::explain {
 
-std::vector<std::vector<ValueId>> InternAnswers(onto::BoundOntology* bound,
-                                                const WhyNotInstance& wni) {
+std::vector<std::vector<ValueId>> InternAnswers(
+    onto::BoundOntology* bound, const std::vector<Tuple>& answers) {
   std::vector<std::vector<ValueId>> out;
-  out.reserve(wni.answers.size());
-  for (const Tuple& t : wni.answers) {
+  out.reserve(answers.size());
+  for (const Tuple& t : answers) {
     std::vector<ValueId> ids;
     ids.reserve(t.size());
     for (const Value& v : t) ids.push_back(bound->pool().Intern(v));
@@ -40,7 +40,7 @@ Result<bool> IsExplanation(onto::BoundOntology* bound,
     ValueId id = bound->pool().Intern(wni.missing[i]);
     if (!bound->Ext(e[i]).Contains(id)) return false;
   }
-  std::vector<std::vector<ValueId>> answers = InternAnswers(bound, wni);
+  std::vector<std::vector<ValueId>> answers = InternAnswers(bound, wni.answers);
   return !ProductIntersectsAnswers(bound, e, answers);
 }
 
@@ -67,39 +67,33 @@ std::string ExplanationToString(const onto::BoundOntology& bound,
 
 namespace {
 
-bool IsLsExplanationImpl(const WhyNotInstance& wni, const LsExplanation& e,
-                         ls::EvalCache* cache, LsAnswerCovers* covers) {
-  if (e.size() != wni.arity()) return false;
-  const ValuePool& pool = wni.instance->pool();
+bool LsExplains(Binding& binding, const Tuple& missing,
+                const LsExplanation& e) {
+  if (e.size() != missing.size()) return false;
+  const ValuePool& pool = binding.instance()->pool();
   std::vector<const ls::Extension*> exts;
   exts.reserve(e.size());
   for (size_t i = 0; i < e.size(); ++i) {
-    const ls::Extension& ext = cache->Eval(e[i]);
-    if (!ext.ContainsInterned(pool.Lookup(wni.missing[i]), wni.missing[i])) {
+    const ls::Extension& ext = binding.eval_cache().Eval(e[i]);
+    if (!ext.ContainsInterned(pool.Lookup(missing[i]), missing[i])) {
       return false;
     }
     exts.push_back(&ext);
   }
-  return !covers->ProductIntersects(exts);
+  return !binding.ls_covers().ProductIntersects(exts);
 }
 
 }  // namespace
 
+Result<bool> IsLsExplanation(Binding& binding, const Tuple& missing,
+                             const LsExplanation& e) {
+  WHYNOT_RETURN_IF_ERROR(binding.Check(/*needs_ontology=*/false));
+  return LsExplains(binding, missing, e);
+}
+
 bool IsLsExplanation(const WhyNotInstance& wni, const LsExplanation& e) {
-  ls::EvalCache cache(wni.instance);
-  LsAnswerCovers covers(wni.instance, &wni.answers);
-  return IsLsExplanationImpl(wni, e, &cache, &covers);
-}
-
-bool IsLsExplanation(const WhyNotInstance& wni, const LsExplanation& e,
-                     ls::EvalCache* cache) {
-  LsAnswerCovers covers(wni.instance, &wni.answers);
-  return IsLsExplanationImpl(wni, e, cache, &covers);
-}
-
-bool IsLsExplanation(const WhyNotInstance& wni, const LsExplanation& e,
-                     ls::EvalCache* cache, LsAnswerCovers* covers) {
-  return IsLsExplanationImpl(wni, e, cache, covers);
+  Binding binding(wni.instance, wni.answers);
+  return LsExplains(binding, wni.missing, e);
 }
 
 bool LessGeneralI(const rel::Instance& instance, const LsExplanation& e,

@@ -8,6 +8,7 @@
 #include "whynot/concepts/ls_concept.h"
 #include "whynot/concepts/ls_eval.h"
 #include "whynot/explain/answer_cover.h"
+#include "whynot/explain/binding.h"
 #include "whynot/explain/whynot_instance.h"
 #include "whynot/ontology/ontology.h"
 
@@ -23,8 +24,8 @@ using LsExplanation = std::vector<ls::LsConcept>;
 
 /// Answers interned against a BoundOntology's value pool, for fast product
 /// intersection tests.
-std::vector<std::vector<ValueId>> InternAnswers(onto::BoundOntology* bound,
-                                                const WhyNotInstance& wni);
+std::vector<std::vector<ValueId>> InternAnswers(
+    onto::BoundOntology* bound, const std::vector<Tuple>& answers);
 
 /// True iff (ext(C1) × ... × ext(Cm)) ∩ Ans ≠ ∅ for the candidate tuple of
 /// concepts (the second condition of Definition 3.2, negated).
@@ -54,18 +55,11 @@ std::string ExplanationToString(const onto::BoundOntology& bound,
 /// Definition 3.2 against the derived ontology OI: extensions are ⟦·⟧ᴵ.
 bool IsLsExplanation(const WhyNotInstance& wni, const LsExplanation& e);
 
-/// As above, with per-conjunct extension memoization (`cache` must be
-/// bound to wni.instance). The greedy searches call this once per
-/// candidate probe; the cache makes each call an intersection of already-
-/// evaluated conjuncts instead of fresh relation scans.
-bool IsLsExplanation(const WhyNotInstance& wni, const LsExplanation& e,
-                     ls::EvalCache* cache);
-
-/// The fully hoisted form: `covers` must be an LsAnswerCovers over
-/// (wni.instance, wni.answers) fed by the same `cache`. The answer-product
-/// condition is then one word-parallel AND over cached cover bitmaps.
-bool IsLsExplanation(const WhyNotInstance& wni, const LsExplanation& e,
-                     ls::EvalCache* cache, LsAnswerCovers* covers);
+/// As above over a binding's extension memo and answer covers: the
+/// answer-product condition is one word-parallel AND over cached cover
+/// bitmaps.
+Result<bool> IsLsExplanation(Binding& binding, const Tuple& missing,
+                             const LsExplanation& e);
 
 /// Pointwise ⊑_I.
 bool LessGeneralI(const rel::Instance& instance, const LsExplanation& e,

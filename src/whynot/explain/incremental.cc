@@ -5,45 +5,20 @@
 
 namespace whynot::explain {
 
-Result<LsExplanation> IncrementalSearch(const WhyNotInstance& wni,
-                                        const IncrementalOptions& options,
-                                        ls::LubContext* lub_context,
-                                        ls::EvalCache* cache,
-                                        LsAnswerCovers* covers,
-                                        ls::ConceptCache* concept_cache,
-                                        ls::ConceptCacheOverlay* session_overlay) {
-  size_t m = wni.arity();
-  std::optional<ls::EvalCache> local_cache;
-  if (cache == nullptr) {
-    local_cache.emplace(wni.instance);
-    cache = &*local_cache;
-  }
-  std::optional<LsAnswerCovers> local_covers;
-  if (covers == nullptr) {
-    local_covers.emplace(wni.instance, &wni.answers);
-    covers = &*local_covers;
-  }
-  std::optional<ls::ConceptCache> local_cc;
-  if (concept_cache == nullptr) {
-    local_cc.emplace(wni.instance);
-    concept_cache = &*local_cc;
-  }
-  const ValuePool& pool = wni.instance->pool();
+Result<LsExplanation> IncrementalSearch(Binding& binding,
+                                        const Tuple& missing,
+                                        const IncrementalOptions& options) {
+  WHYNOT_RETURN_IF_ERROR(binding.Check(/*needs_ontology=*/false));
+  size_t m = missing.size();
+  LsAnswerCovers* covers = &binding.ls_covers();
+  const ValuePool& pool = binding.instance()->pool();
 
-  // The whole greedy sweep is serial, so one overlay over the shared cache
-  // suffices; published on every return path (including certified stops)
-  // so a session cache carries the lubs to later requests. A session's
-  // persistent overlay (warm private maps) is used when it matches this
-  // search's flavor.
-  std::optional<ls::ConceptCacheOverlay> local_overlay;
-  if (session_overlay == nullptr ||
-      session_overlay->with_selections() != options.with_selections) {
-    local_overlay.emplace(concept_cache, options.with_selections, lub_context,
-                          cache);
-  }
+  // The whole greedy sweep is serial, so the binding's serial overlay over
+  // the shared cache suffices; published on every return path (including
+  // certified stops) so later searches on the binding reuse the lubs.
   ls::ConceptCacheOverlay& overlay =
-      local_overlay.has_value() ? *local_overlay : *session_overlay;
-  ls::ScopedPublish publish(concept_cache, &overlay);
+      binding.serial_overlay(options.with_selections);
+  ls::ScopedPublish publish(&binding.concept_cache(), &overlay);
 
   // Lines 2-3: support sets X_j = {a_j}; first candidate explanation
   // E = (lub(X_1), ..., lub(X_m)). Extensions are held as pointers to
@@ -54,16 +29,16 @@ Result<LsExplanation> IncrementalSearch(const WhyNotInstance& wni,
   std::vector<const ls::Extension*> exts(m);
   std::vector<ValueId> missing_ids(m);
   for (size_t j = 0; j < m; ++j) {
-    support[j] = {wni.missing[j]};
+    support[j] = {missing[j]};
     WHYNOT_ASSIGN_OR_RETURN(const ls::ConceptCache::Entry* entry,
                             overlay.LubAndEval(support[j]));
     e[j] = entry->concept;
     exts[j] = entry->ext.get();
-    missing_ids[j] = pool.Lookup(wni.missing[j]);
+    missing_ids[j] = pool.Lookup(missing[j]);
   }
   bool initial_ok = true;
   for (size_t j = 0; j < m && initial_ok; ++j) {
-    initial_ok = exts[j]->ContainsInterned(missing_ids[j], wni.missing[j]);
+    initial_ok = exts[j]->ContainsInterned(missing_ids[j], missing[j]);
   }
   if (initial_ok) initial_ok = !covers->ProductIntersects(exts);
   if (!initial_ok) {
@@ -93,8 +68,8 @@ Result<LsExplanation> IncrementalSearch(const WhyNotInstance& wni,
   // constant, try the lub-generalized tuple; keep it if it remains an
   // explanation. The probe is one word-parallel AND over the cover
   // bitmaps with position j swapped to the candidate.
-  const std::vector<Value>& adom = wni.instance->ActiveDomain();
-  const std::vector<ValueId>& adom_ids = wni.instance->ActiveDomainIds();
+  const std::vector<Value>& adom = binding.instance()->ActiveDomain();
+  const std::vector<ValueId>& adom_ids = binding.instance()->ActiveDomainIds();
   for (size_t j = 0; j < m && !halted.has_value(); ++j) {
     for (size_t bi = 0; bi < adom.size(); ++bi) {
       WHYNOT_RETURN_IF_ERROR(check());
@@ -105,11 +80,11 @@ Result<LsExplanation> IncrementalSearch(const WhyNotInstance& wni,
       // Probe-once candidates go through the transient path (no
       // support-tier record — the sweep rejects almost all of them);
       // an accepted candidate is promoted in place, reusing the lub and
-      // extension the probe just computed, so the session cache carries
+      // extension the probe just computed, so the binding's cache carries
       // it to later requests.
       WHYNOT_ASSIGN_OR_RETURN(std::shared_ptr<const ls::Extension> cand,
                               overlay.LubExtTransient(extended));
-      if (cand->ContainsInterned(missing_ids[j], wni.missing[j]) &&
+      if (cand->ContainsInterned(missing_ids[j], missing[j]) &&
           !covers->ProductIntersects(exts, j, cand.get())) {
         const ls::ConceptCache::Entry* entry = overlay.PromoteLastProbe();
         e[j] = entry->concept;
@@ -129,7 +104,7 @@ Result<LsExplanation> IncrementalSearch(const WhyNotInstance& wni,
       if (exts[j]->all) continue;
       if (!covers->ProductIntersects(exts, j, &top_ext)) {
         e[j] = ls::LsConcept::Top();
-        exts[j] = &cache->Eval(e[j]);
+        exts[j] = &binding.eval_cache().Eval(e[j]);
       }
     }
   }
@@ -149,8 +124,8 @@ Result<LsExplanation> IncrementalSearch(const WhyNotInstance& wni,
 
 Result<LsExplanation> IncrementalSearch(const WhyNotInstance& wni,
                                         const IncrementalOptions& options) {
-  ls::LubContext ctx(wni.instance, options.lub);
-  return IncrementalSearch(wni, options, &ctx, nullptr, nullptr, nullptr);
+  Binding binding(wni.instance, wni.answers);
+  return IncrementalSearch(binding, wni.missing, options);
 }
 
 }  // namespace whynot::explain

@@ -5,6 +5,7 @@
 #include "whynot/common/status.h"
 #include "whynot/concepts/concept_cache.h"
 #include "whynot/concepts/lub.h"
+#include "whynot/explain/binding.h"
 #include "whynot/explain/explanation.h"
 
 namespace whynot::explain {
@@ -24,8 +25,6 @@ struct IncrementalOptions {
   /// the paper's pseudocode to the letter.
   bool generalize_to_top = true;
 
-  ls::LubOptions lub;
-
   /// Optional execution control, observed once per generalization
   /// candidate (position, constant) in the fixed sweep order — the search
   /// is serial, so probe ordinals are trivially deterministic.
@@ -40,36 +39,22 @@ struct IncrementalOptions {
 };
 
 /// Algorithm 2 (INCREMENTAL SEARCH): computes one most-general explanation
-/// for the why-not instance w.r.t. the instance-derived ontology OI
+/// for `missing` ∉ Ans w.r.t. the instance-derived ontology OI
 /// (Section 5.2). Starts from the tuple of lub({a_j}) (the nominal-pinned,
 /// most specific explanation, which always exists) and greedily grows each
 /// position's support set by active-domain constants while the tuple
 /// remains an explanation.
+///
+/// The sweep is serial and probes through the binding's serial overlay of
+/// the shared concept cache, published on return, so repeated searches on
+/// one binding hit warm lub/eval memos; results are bit-identical to a
+/// fresh binding's.
+Result<LsExplanation> IncrementalSearch(Binding& binding,
+                                        const Tuple& missing,
+                                        const IncrementalOptions& options = {});
+/// One-shot form over a temporary binding of (wni.instance, wni.answers).
 Result<LsExplanation> IncrementalSearch(const WhyNotInstance& wni,
                                         const IncrementalOptions& options = {});
-
-/// Same, reusing a caller-provided lub context (amortizes the canonical-box
-/// construction across repeated calls; used by benchmarks). `cache` /
-/// `covers`, when non-null, are a prepared ExplainSession's warm extension
-/// memo and answer-cover table over (wni.instance, wni.answers);
-/// `concept_cache` the shared lub/eval cache the greedy sweep runs through
-/// (the search is serial, so entries publish once on return — a session
-/// cache carries them to later requests). Per-call locals are created for
-/// any null parameter, with bit-identical results.
-///
-/// `session_overlay`, when non-null, must be an overlay bound to exactly
-/// (concept_cache, options.with_selections, lub_context, cache); the
-/// search then probes through it instead of a per-call overlay, so its
-/// private maps stay warm across a session's requests (repeat probes
-/// become raw local-map hits instead of published-tier lookups that
-/// re-copy each concept into a fresh overlay). Results are bit-identical
-/// either way — only timing and served-from counters move.
-Result<LsExplanation> IncrementalSearch(
-    const WhyNotInstance& wni, const IncrementalOptions& options,
-    ls::LubContext* lub_context, ls::EvalCache* cache = nullptr,
-    LsAnswerCovers* covers = nullptr,
-    ls::ConceptCache* concept_cache = nullptr,
-    ls::ConceptCacheOverlay* session_overlay = nullptr);
 
 }  // namespace whynot::explain
 

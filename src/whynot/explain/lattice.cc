@@ -126,19 +126,11 @@ std::vector<onto::ConceptId> ConceptLattice::MinimalOf(
 
 LatticeChoice ChooseStrategy(SearchStrategy strategy,
                              const CandidateSpace& space,
-                             size_t max_candidates,
-                             onto::BoundOntology* bound,
-                             LatticeHandle* handle,
-                             std::unique_ptr<LatticeHandle>* local) {
+                             size_t max_candidates, LatticeHandle& handle) {
   if (strategy == SearchStrategy::kOdometer) return {};
   bool over_budget = space.overflow() || space.total() > max_candidates;
   if (strategy == SearchStrategy::kAuto && !over_budget) return {};
-  LatticeHandle* h = handle;
-  if (h == nullptr) {
-    *local = std::make_unique<LatticeHandle>(bound);
-    h = local->get();
-  }
-  const ConceptLattice& lattice = h->Get();
+  const ConceptLattice& lattice = handle.Get();
   if (strategy == SearchStrategy::kAuto && !lattice.consistent()) return {};
   return {true, &lattice};
 }

@@ -134,11 +134,10 @@ class ConceptLattice {
   std::vector<int32_t> ranks_;
 };
 
-/// Lazily-built ConceptLattice shared across searches over one binding.
-/// An ExplainSession keeps one per warm-up so repeated over-budget
-/// requests reuse the matrices; one-shot entry points build a local
-/// handle only when a search actually escalates to the frontier path —
-/// in-budget traffic never pays for the lattice.
+/// Lazily-built ConceptLattice shared across searches over one Binding:
+/// repeated over-budget requests reuse the matrices, and the lattice is
+/// built only when a search actually escalates to the frontier path —
+/// in-budget traffic never pays for it.
 class LatticeHandle {
  public:
   explicit LatticeHandle(onto::BoundOntology* bound) : bound_(bound) {}
@@ -162,16 +161,11 @@ struct LatticeChoice {
   const ConceptLattice* lattice = nullptr;  // set iff use_lattice
 };
 
-/// Applies the strategy semantics documented on SearchStrategy. `handle`
-/// may be null; when the choice needs a lattice and no handle was passed,
-/// one is materialized into `*local` (which must outlive the returned
-/// pointer).
+/// Applies the strategy semantics documented on SearchStrategy; builds
+/// the lattice behind `handle` only when the choice needs it.
 LatticeChoice ChooseStrategy(SearchStrategy strategy,
                              const CandidateSpace& space,
-                             size_t max_candidates,
-                             onto::BoundOntology* bound,
-                             LatticeHandle* handle,
-                             std::unique_ptr<LatticeHandle>* local);
+                             size_t max_candidates, LatticeHandle& handle);
 
 }  // namespace whynot::explain
 

@@ -3,57 +3,23 @@
 #include <algorithm>
 #include <utility>
 
-#include "whynot/common/algorithm.h"
 #include "whynot/relational/cq_eval.h"
 
 namespace whynot::explain {
 
-/// All warm state lives behind one heap allocation so the session is
-/// cheaply movable while internal pointers (covers → answer vector,
-/// covers → bound ontology) stay stable.
 struct ExplainSession::State {
   const rel::Instance* instance = nullptr;
   const onto::FiniteOntology* ontology = nullptr;
   ExplainSessionOptions options;
-  rel::UnionQuery query;
-  bool has_query = false;
-  uint64_t version = 0;
-
-  /// The canonical answer vector lives in wni.answers; requests only swap
-  /// the asked-about tuple, so Ans is never copied per request. wi keeps
-  /// its own (equal) copy because the dual's instance struct owns one.
-  WhyNotInstance wni;
-  WhyInstance wi;
-
-  // External-ontology warm state (null without an ontology).
-  std::unique_ptr<onto::BoundOntology> bound;
-  std::unique_ptr<ConceptAnswerCovers> covers;      // avoidance form
-  std::unique_ptr<ConceptAnswerCovers> why_covers;  // counting (why dual)
-  // Shared Hasse/downset state for the dominance-pruned searches. The
-  // handle is lazy: Bind stays O(covers) and the O(|concepts|²) lattice
-  // build runs only the first time a request actually escalates to the
-  // frontier, after which every search on this binding reuses it.
-  std::unique_ptr<LatticeHandle> lattice;
-
-  // Derived-ontology (OI) warm state, shared across every request: the
-  // lub context's canonical boxes, the eval cache's extension memo (whose
-  // stable identities key the cover bitmaps), and the LS answer covers
-  // over wni.answers.
-  std::unique_ptr<ls::LubContext> lub;
-  std::unique_ptr<ls::EvalCache> cache;
-  std::unique_ptr<LsAnswerCovers> ls_covers;
-  // The shared concept cache: every derived request publishes its lub+eval
-  // results here and later requests start from the published tier. Entries
-  // are dropped on rewarm (pure functions of the instance contents);
-  // traffic counters survive.
-  std::unique_ptr<ls::ConceptCache> concept_cache;
-  // Persistent overlay for the *serial* searches (WhyNot / Why run on the
-  // session thread): its private maps stay warm across requests, so a
-  // repeated request's probes are raw local-map hits instead of
-  // published-tier lookups that re-copy every concept into a fresh
-  // overlay. Rebuilt on rewarm together with lub/cache it is bound to.
-  // The parallel searches keep their own per-worker overlays.
-  std::unique_ptr<ls::ConceptCacheOverlay> serial_overlay;
+  std::optional<rel::UnionQuery> query;  // set iff bound from a query
+  std::unique_ptr<Binding> binding;
+  bool warm = false;  // binding->Warm succeeded
+  /// The binding version of the last successful warm-up; stays behind
+  /// while a rebuilt binding's warm-up has not completed.
+  uint64_t warmed_version = 0;
+  /// Concept-cache traffic of the bindings replaced so far, so CacheStats()
+  /// stays cumulative across rebuilds.
+  ls::ConceptCacheStats retired_cache;
 
   /// Session-wide cancel flag, copied into every session-built request
   /// context so Cancel() from another thread reaches the request that is
@@ -80,6 +46,15 @@ exec::ExecContext MakeRequestExec(int64_t request_deadline_ms,
   return ctx;
 }
 
+void AddCacheStats(ls::ConceptCacheStats* into,
+                   const ls::ConceptCacheStats& from) {
+  into->shared_hits += from.shared_hits;
+  into->local_hits += from.local_hits;
+  into->misses += from.misses;
+  into->publishes += from.publishes;
+  into->evictions += from.evictions;
+}
+
 }  // namespace
 
 ExplainSession::ExplainSession(std::unique_ptr<State> state)
@@ -89,167 +64,113 @@ ExplainSession::ExplainSession(ExplainSession&&) noexcept = default;
 ExplainSession& ExplainSession::operator=(ExplainSession&&) noexcept = default;
 ExplainSession::~ExplainSession() = default;
 
-std::unique_ptr<ExplainSession::State> ExplainSession::MakeState(
-    const rel::Instance* instance, const onto::FiniteOntology* ontology,
-    ExplainSessionOptions options) {
-  auto state = std::make_unique<State>();
-  state->instance = instance;
-  state->ontology = ontology;
-  // One shared LubContext serves every derived request, so both searches
-  // must agree on its limits.
-  options.incremental.lub = options.lub;
-  options.enumerate.lub = options.lub;
-  state->options = std::move(options);
-  return state;
-}
-
 Result<ExplainSession> ExplainSession::Bind(const rel::Instance* instance,
                                             rel::UnionQuery query,
                                             const onto::FiniteOntology* ontology,
                                             ExplainSessionOptions options) {
-  std::unique_ptr<State> state =
-      MakeState(instance, ontology, std::move(options));
+  auto state = std::make_unique<State>();
+  state->instance = instance;
+  state->ontology = ontology;
+  state->options = std::move(options);
   state->query = std::move(query);
-  state->has_query = true;
-  state->wni.query = state->query;  // informational, as in the one-shot path
   ExplainSession session(std::move(state));
-  WHYNOT_RETURN_IF_ERROR(session.Rewarm());
+  WHYNOT_RETURN_IF_ERROR(session.Refresh());
   return session;
 }
 
 Result<ExplainSession> ExplainSession::BindWithAnswers(
     const rel::Instance* instance, std::vector<Tuple> answers,
     const onto::FiniteOntology* ontology, ExplainSessionOptions options) {
-  SortUnique(&answers);
   for (const Tuple& t : answers) {
     if (t.size() != answers.front().size()) {
       return Status::InvalidArgument("answer tuples have mixed arities");
     }
   }
-  std::unique_ptr<State> state =
-      MakeState(instance, ontology, std::move(options));
-  state->has_query = false;
-  state->wni.answers = std::move(answers);
+  auto state = std::make_unique<State>();
+  state->instance = instance;
+  state->ontology = ontology;
+  state->options = std::move(options);
+  state->binding = std::make_unique<Binding>(
+      instance, std::move(answers), ontology, state->options.lub,
+      state->options.concept_cache);
   ExplainSession session(std::move(state));
-  WHYNOT_RETURN_IF_ERROR(session.Rewarm());
+  WHYNOT_RETURN_IF_ERROR(session.Refresh());
   return session;
 }
 
-Status ExplainSession::Rewarm(const exec::ExecContext* exec) {
+Status ExplainSession::Refresh(const exec::ExecContext* exec) {
   State& s = *state_;
-  if (s.has_query) {
-    WHYNOT_ASSIGN_OR_RETURN(std::vector<Tuple> answers,
-                            rel::Evaluate(s.query, *s.instance));
-    s.wni.answers = std::move(answers);  // sorted, duplicate-free
+  if (s.binding == nullptr || s.binding->version() != s.instance->version()) {
+    std::vector<Tuple> answers;
+    if (s.query.has_value()) {
+      WHYNOT_ASSIGN_OR_RETURN(answers, rel::Evaluate(*s.query, *s.instance));
+    } else {
+      answers = s.binding->answers();
+    }
+    if (s.binding != nullptr && s.binding->concept_cache_.has_value()) {
+      // Entries dropped with the old binding count as evictions.
+      AddCacheStats(&s.retired_cache, s.binding->concept_cache_->stats());
+      s.retired_cache.evictions += s.binding->concept_cache_->size();
+    }
+    s.binding.reset();
+    s.binding = std::make_unique<Binding>(s.instance, std::move(answers),
+                                          s.ontology, s.options.lub,
+                                          s.options.concept_cache);
+    s.warm = false;
   }
-  s.wni.instance = s.instance;
-  s.wi.instance = s.instance;
-  s.wi.answers = s.wni.answers;
-
-  // Force every lazy instance cache so request-time access — including
-  // pool-worker reads inside the parallel searches — is read-only.
-  s.instance->WarmForConcurrentReads();
-
-  // Derived-ontology state. Build order matters: the covers index the
-  // answer vector assigned above (its address inside this State is
-  // stable; contents were just refreshed).
-  s.lub = std::make_unique<ls::LubContext>(s.instance, s.options.lub);
-  s.cache = std::make_unique<ls::EvalCache>(s.instance);
-  s.ls_covers = std::make_unique<LsAnswerCovers>(s.instance, &s.wni.answers);
-  if (s.concept_cache == nullptr) {
-    s.concept_cache = std::make_unique<ls::ConceptCache>(
-        s.instance, s.options.concept_cache);
-  } else {
-    s.concept_cache->Clear();
-  }
-  // After the Clear: stale overlay memos would otherwise outlive the
-  // instance contents they were computed from.
-  s.serial_overlay = std::make_unique<ls::ConceptCacheOverlay>(
-      s.concept_cache.get(), s.options.incremental.with_selections,
-      s.lub.get(), s.cache.get());
-
-  s.covers.reset();
-  s.why_covers.reset();
-  s.lattice.reset();
-  s.bound.reset();
-  if (s.ontology != nullptr) {
-    s.bound = std::make_unique<onto::BoundOntology>(s.ontology, s.instance);
-    // A stop (or injected warm fault) aborts the rewarm before the covers
-    // are rebuilt; s.version stays behind, so the next request retries the
-    // warm-up from the concepts already cached.
-    WHYNOT_RETURN_IF_ERROR(s.bound->WarmExtensions(exec));
-    s.covers = std::make_unique<ConceptAnswerCovers>(
-        s.bound.get(), InternAnswers(s.bound.get(), s.wni));
-    s.why_covers = std::make_unique<ConceptAnswerCovers>(
-        s.bound.get(), InternedUniqueAnswers(s.bound.get(), s.wi));
-    s.lattice = std::make_unique<LatticeHandle>(s.bound.get());
-  }
-  s.version = s.instance->version();
-  return Status::OK();
-}
-
-Status ExplainSession::RewarmIfStale(const exec::ExecContext* exec) {
-  if (state_->version != state_->instance->version()) {
-    WHYNOT_RETURN_IF_ERROR(Rewarm(exec));
+  if (!s.warm) {
+    // A stop (or injected warm fault) leaves `warm` unset, so the next
+    // request retries the warm-up from the extensions already cached.
+    WHYNOT_RETURN_IF_ERROR(s.binding->Warm(exec));
+    s.warm = true;
+    s.warmed_version = s.binding->version();
   }
   return Status::OK();
 }
 
 Status ExplainSession::Prepare(const Tuple& tuple, bool expect_answer,
                                const exec::ExecContext* exec) {
-  WHYNOT_RETURN_IF_ERROR(RewarmIfStale(exec));
+  WHYNOT_RETURN_IF_ERROR(Refresh(exec));
   State& s = *state_;
-  if (s.has_query && s.query.arity() != tuple.size()) {
+  const std::vector<Tuple>& answers = s.binding->answers();
+  if (s.query.has_value() && s.query->arity() != tuple.size()) {
     return Status::InvalidArgument(
         expect_answer ? "tuple arity does not match query arity"
                       : "missing tuple arity does not match query arity");
   }
-  if (!s.has_query && !s.wni.answers.empty() &&
-      s.wni.answers.front().size() != tuple.size()) {
+  if (!s.query.has_value() && !answers.empty() &&
+      answers.front().size() != tuple.size()) {
     return Status::InvalidArgument(
         "answer arity does not match missing tuple arity");
   }
-  bool in_answers = std::binary_search(s.wni.answers.begin(),
-                                       s.wni.answers.end(), tuple);
-  if (expect_answer) {
-    if (!in_answers) {
-      return Status::InvalidArgument(
-          "tuple " + TupleToString(tuple) +
-          " is not in the answer set; ask a why-not question instead");
-    }
-    s.wi.present = tuple;
-  } else {
-    if (in_answers) {
-      return Status::InvalidArgument("tuple " + TupleToString(tuple) +
-                                     " is in the answer set; nothing to "
-                                     "explain");
-    }
-    s.wni.missing = tuple;
+  bool in_answers = std::binary_search(answers.begin(), answers.end(), tuple);
+  if (expect_answer && !in_answers) {
+    return Status::InvalidArgument(
+        "tuple " + TupleToString(tuple) +
+        " is not in the answer set; ask a why-not question instead");
   }
-  return Status::OK();
-}
-
-Status ExplainSession::RequireOntology() const {
-  if (state_->ontology == nullptr) {
-    return Status::Unsupported(
-        "session was bound without an external ontology; only derived-"
-        "ontology (OI) requests are available");
+  if (!expect_answer && in_answers) {
+    return Status::InvalidArgument("tuple " + TupleToString(tuple) +
+                                   " is in the answer set; nothing to "
+                                   "explain");
   }
   return Status::OK();
 }
 
 const std::vector<Tuple>& ExplainSession::answers() const {
-  return state_->wni.answers;
+  return state_->binding->answers();
 }
 
 bool ExplainSession::has_ontology() const {
   return state_->ontology != nullptr;
 }
 
-uint64_t ExplainSession::warmed_version() const { return state_->version; }
+uint64_t ExplainSession::warmed_version() const {
+  return state_->warmed_version;
+}
 
 onto::BoundOntology* ExplainSession::bound_ontology() {
-  return state_->bound.get();
+  return state_->binding->bound();
 }
 
 void ExplainSession::Cancel() { state_->cancel.Cancel(); }
@@ -257,39 +178,37 @@ void ExplainSession::Cancel() { state_->cancel.Cancel(); }
 void ExplainSession::ResetCancel() { state_->cancel = exec::CancelToken(); }
 
 Status ExplainSession::CheckConsistent() {
-  WHYNOT_RETURN_IF_ERROR(RequireOntology());
-  WHYNOT_RETURN_IF_ERROR(RewarmIfStale());
-  return state_->bound->CheckConsistent();
+  WHYNOT_RETURN_IF_ERROR(Refresh());
+  WHYNOT_RETURN_IF_ERROR(state_->binding->Check(/*needs_ontology=*/true));
+  return state_->binding->bound()->CheckConsistent();
 }
 
 ExplainSession::MemoryStats ExplainSession::MemoryUsage() const {
-  const State& s = *state_;
+  const Binding& b = *state_->binding;
   MemoryStats m;
-  m.instance_bytes = s.instance->MemoryBytes();
+  m.instance_bytes = b.instance()->MemoryBytes();
   size_t ext_dense_equivalent = 0;
   size_t cover_dense_equivalent = 0;
-  if (s.bound != nullptr) {
-    onto::BoundOntology::MemoryStats es = s.bound->ExtMemoryStats();
+  if (b.bound() != nullptr) {
+    onto::BoundOntology::MemoryStats es = b.bound()->ExtMemoryStats();
     m.ext_bytes = es.ext_bytes;
     ext_dense_equivalent = es.dense_equivalent_bytes;
     m.hybrid_ext_sets = es.hybrid_sets;
     m.dense_ext_sets = es.dense_sets;
   }
-  if (s.covers != nullptr) {
-    m.cover_bytes += s.covers->MemoryBytes();
-    cover_dense_equivalent += s.covers->DenseEquivalentBytes();
+  if (b.covers_.has_value()) {
+    m.cover_bytes += b.covers_->MemoryBytes();
+    cover_dense_equivalent += b.covers_->DenseEquivalentBytes();
   }
-  if (s.why_covers != nullptr) {
-    m.cover_bytes += s.why_covers->MemoryBytes();
-    cover_dense_equivalent += s.why_covers->DenseEquivalentBytes();
+  if (b.ls_covers_.has_value()) {
+    m.cover_bytes += b.ls_covers_->MemoryBytes();
+    cover_dense_equivalent += b.ls_covers_->DenseEquivalentBytes();
   }
-  if (s.ls_covers != nullptr) {
-    m.cover_bytes += s.ls_covers->MemoryBytes();
-    cover_dense_equivalent += s.ls_covers->DenseEquivalentBytes();
+  if (b.eval_cache_.has_value()) {
+    m.eval_cache_bytes = b.eval_cache_->MemoryBytes();
   }
-  if (s.cache != nullptr) m.eval_cache_bytes = s.cache->MemoryBytes();
-  if (s.concept_cache != nullptr) {
-    m.shared_cache_bytes = s.concept_cache->MemoryBytes();
+  if (b.concept_cache_.has_value()) {
+    m.shared_cache_bytes = b.concept_cache_->MemoryBytes();
   }
   m.total_bytes = m.instance_bytes + m.ext_bytes + m.cover_bytes +
                   m.eval_cache_bytes + m.shared_cache_bytes;
@@ -300,8 +219,12 @@ ExplainSession::MemoryStats ExplainSession::MemoryUsage() const {
 }
 
 ls::ConceptCacheStats ExplainSession::CacheStats() const {
-  if (state_->concept_cache == nullptr) return {};
-  return state_->concept_cache->stats();
+  ls::ConceptCacheStats total = state_->retired_cache;
+  const Binding& b = *state_->binding;
+  if (b.concept_cache_.has_value()) {
+    AddCacheStats(&total, b.concept_cache_->stats());
+  }
+  return total;
 }
 
 // --- Derived-ontology (OI) requests ---------------------------------------
@@ -314,9 +237,7 @@ Result<LsExplanation> ExplainSession::WhyNot(const Tuple& missing,
   WHYNOT_RETURN_IF_ERROR(Prepare(missing, /*expect_answer=*/false, &ctx));
   IncrementalOptions opts = s.options.incremental;
   opts.exec = &ctx;
-  return IncrementalSearch(s.wni, opts, s.lub.get(), s.cache.get(),
-                           s.ls_covers.get(), s.concept_cache.get(),
-                           s.serial_overlay.get());
+  return IncrementalSearch(*s.binding, missing, opts);
 }
 
 Result<std::vector<LsExplanation>> ExplainSession::EnumerateMges(
@@ -328,8 +249,7 @@ Result<std::vector<LsExplanation>> ExplainSession::EnumerateMges(
   WHYNOT_RETURN_IF_ERROR(Prepare(missing, /*expect_answer=*/false, &ctx));
   EnumerateOptions opts = s.options.enumerate;
   opts.exec = &ctx;
-  return EnumerateAllMges(s.wni, opts, stats, s.lub.get(),
-                          s.concept_cache.get());
+  return EnumerateAllMges(*s.binding, missing, opts, stats);
 }
 
 Result<bool> ExplainSession::CheckMgeDerived(const Tuple& missing,
@@ -339,11 +259,9 @@ Result<bool> ExplainSession::CheckMgeDerived(const Tuple& missing,
   exec::ExecContext ctx =
       MakeRequestExec(s.options.request_deadline_ms, s.cancel, exec);
   WHYNOT_RETURN_IF_ERROR(Prepare(missing, /*expect_answer=*/false, &ctx));
-  return explain::CheckMgeDerived(s.wni, candidate,
-                                  s.options.incremental.with_selections,
-                                  s.lub.get(), s.cache.get(),
-                                  s.ls_covers.get(), s.concept_cache.get(),
-                                  &ctx);
+  IncrementalOptions opts = s.options.incremental;
+  opts.exec = &ctx;
+  return explain::CheckMgeDerived(*s.binding, missing, candidate, opts);
 }
 
 Result<LsExplanation> ExplainSession::Why(const Tuple& present,
@@ -352,45 +270,38 @@ Result<LsExplanation> ExplainSession::Why(const Tuple& present,
   exec::ExecContext ctx =
       MakeRequestExec(s.options.request_deadline_ms, s.cancel, exec);
   WHYNOT_RETURN_IF_ERROR(Prepare(present, /*expect_answer=*/true, &ctx));
-  // ls_covers indexes wni.answers, which equals the sort-deduped answer
-  // vector of wi (both come from the same evaluation).
-  return IncrementalWhySearch(s.wi, s.options.incremental.with_selections,
-                              s.lub.get(), s.cache.get(), s.ls_covers.get(),
-                              s.concept_cache.get(), &ctx,
-                              /*cert=*/nullptr, s.serial_overlay.get());
+  IncrementalOptions opts;
+  opts.with_selections = s.options.incremental.with_selections;
+  opts.exec = &ctx;
+  return IncrementalWhySearch(*s.binding, present, opts);
 }
 
 // --- External-ontology requests -------------------------------------------
 
 Result<std::vector<Explanation>> ExplainSession::ExhaustiveMges(
     const Tuple& missing, const exec::ExecContext* exec) {
-  WHYNOT_RETURN_IF_ERROR(RequireOntology());
   State& s = *state_;
   exec::ExecContext ctx =
       MakeRequestExec(s.options.request_deadline_ms, s.cancel, exec);
   WHYNOT_RETURN_IF_ERROR(Prepare(missing, /*expect_answer=*/false, &ctx));
   ExhaustiveOptions opts = s.options.exhaustive;
   opts.exec = &ctx;
-  return ExhaustiveSearchAllMge(s.bound.get(), s.wni, opts, s.covers.get(),
-                                s.lattice.get());
+  return ExhaustiveSearchAllMge(*s.binding, missing, opts);
 }
 
 Result<std::vector<Explanation>> ExplainSession::PrunedMges(
     const Tuple& missing, const exec::ExecContext* exec) {
-  WHYNOT_RETURN_IF_ERROR(RequireOntology());
   State& s = *state_;
   exec::ExecContext ctx =
       MakeRequestExec(s.options.request_deadline_ms, s.cancel, exec);
   WHYNOT_RETURN_IF_ERROR(Prepare(missing, /*expect_answer=*/false, &ctx));
   ExhaustiveOptions opts = s.options.exhaustive;
   opts.exec = &ctx;
-  return PrunedSearchAllMge(s.bound.get(), s.wni, opts, s.covers.get(),
-                            s.lattice.get());
+  return PrunedSearchAllMge(*s.binding, missing, opts);
 }
 
 Result<GradedMges> ExplainSession::MgesWithDegradation(
     const Tuple& missing, const exec::ExecContext* exec) {
-  WHYNOT_RETURN_IF_ERROR(RequireOntology());
   State& s = *state_;
   exec::ExecContext ctx =
       MakeRequestExec(s.options.request_deadline_ms, s.cancel, exec);
@@ -402,10 +313,8 @@ Result<GradedMges> ExplainSession::MgesWithDegradation(
   ExhaustiveOptions opts = s.options.exhaustive;
   opts.exec = &ctx;
   opts.cert = &graded.certificate;
-  WHYNOT_ASSIGN_OR_RETURN(
-      graded.explanations,
-      PrunedSearchAllMge(s.bound.get(), s.wni, opts, s.covers.get(),
-                         s.lattice.get()));
+  WHYNOT_ASSIGN_OR_RETURN(graded.explanations,
+                          PrunedSearchAllMge(*s.binding, missing, opts));
   if (graded.certificate.complete() || !graded.explanations.empty()) {
     return graded;  // kExact, or a non-empty kLowerBound prefix
   }
@@ -417,10 +326,11 @@ Result<GradedMges> ExplainSession::MgesWithDegradation(
   exec::ExecContext grace;
   grace.cancel = ctx.cancel;
   exec::Certificate greedy_cert;
-  WHYNOT_ASSIGN_OR_RETURN(
-      std::optional<CardinalityResult> one,
-      GreedyCardinalityClimb(s.bound.get(), s.wni, s.covers.get(), &grace,
-                             &greedy_cert));
+  ExistenceOptions greedy;
+  greedy.exec = &grace;
+  greedy.cert = &greedy_cert;
+  WHYNOT_ASSIGN_OR_RETURN(std::optional<CardinalityResult> one,
+                          GreedyCardinalityClimb(*s.binding, missing, greedy));
   if (one.has_value()) {
     graded.explanations.push_back(std::move(one->explanation));
     graded.certificate.quality = exec::Quality::kHeuristic;
@@ -433,63 +343,58 @@ Result<GradedMges> ExplainSession::MgesWithDegradation(
 
 Result<bool> ExplainSession::Exists(const Tuple& missing, Explanation* witness,
                                     const exec::ExecContext* exec) {
-  WHYNOT_RETURN_IF_ERROR(RequireOntology());
   State& s = *state_;
   exec::ExecContext ctx =
       MakeRequestExec(s.options.request_deadline_ms, s.cancel, exec);
   WHYNOT_RETURN_IF_ERROR(Prepare(missing, /*expect_answer=*/false, &ctx));
   ExistenceOptions opts = s.options.existence;
   opts.exec = &ctx;
-  return ExistsExplanation(s.bound.get(), s.wni, witness, opts, s.covers.get(),
-                           s.lattice.get());
+  return ExistsExplanation(*s.binding, missing, opts, witness);
 }
 
 Result<std::optional<CardinalityResult>> ExplainSession::CardMaximal(
     const Tuple& missing, const exec::ExecContext* exec) {
-  WHYNOT_RETURN_IF_ERROR(RequireOntology());
   State& s = *state_;
   exec::ExecContext ctx =
       MakeRequestExec(s.options.request_deadline_ms, s.cancel, exec);
   WHYNOT_RETURN_IF_ERROR(Prepare(missing, /*expect_answer=*/false, &ctx));
   ExhaustiveOptions opts = s.options.exhaustive;
   opts.exec = &ctx;
-  return ExactCardMaximal(s.bound.get(), s.wni, opts, s.covers.get(),
-                          s.lattice.get());
+  return ExactCardMaximal(*s.binding, missing, opts);
 }
 
 Result<std::optional<CardinalityResult>> ExplainSession::GreedyCard(
     const Tuple& missing, const exec::ExecContext* exec) {
-  WHYNOT_RETURN_IF_ERROR(RequireOntology());
   State& s = *state_;
   exec::ExecContext ctx =
       MakeRequestExec(s.options.request_deadline_ms, s.cancel, exec);
   WHYNOT_RETURN_IF_ERROR(Prepare(missing, /*expect_answer=*/false, &ctx));
-  return GreedyCardinalityClimb(s.bound.get(), s.wni, s.covers.get(), &ctx);
+  ExistenceOptions opts;
+  opts.exec = &ctx;
+  return GreedyCardinalityClimb(*s.binding, missing, opts);
 }
 
 Result<bool> ExplainSession::CheckMge(const Tuple& missing,
                                       const Explanation& candidate,
                                       const exec::ExecContext* exec) {
-  WHYNOT_RETURN_IF_ERROR(RequireOntology());
   State& s = *state_;
   exec::ExecContext ctx =
       MakeRequestExec(s.options.request_deadline_ms, s.cancel, exec);
   WHYNOT_RETURN_IF_ERROR(Prepare(missing, /*expect_answer=*/false, &ctx));
-  return CheckMgeExternal(s.bound.get(), s.wni, candidate, s.covers.get(),
-                          &ctx);
+  ExhaustiveOptions opts;
+  opts.exec = &ctx;
+  return CheckMgeExternal(*s.binding, missing, candidate, opts);
 }
 
 Result<std::vector<Explanation>> ExplainSession::WhyMges(
     const Tuple& present, const exec::ExecContext* exec) {
-  WHYNOT_RETURN_IF_ERROR(RequireOntology());
   State& s = *state_;
   exec::ExecContext ctx =
       MakeRequestExec(s.options.request_deadline_ms, s.cancel, exec);
   WHYNOT_RETURN_IF_ERROR(Prepare(present, /*expect_answer=*/true, &ctx));
-  return AllMostGeneralWhyExplanations(
-      s.bound.get(), s.wi, s.options.exhaustive.max_candidates,
-      s.why_covers.get(), s.options.exhaustive.strategy, s.lattice.get(),
-      s.options.exhaustive.prune_stats, &ctx);
+  ExhaustiveOptions opts = s.options.exhaustive;
+  opts.exec = &ctx;
+  return AllMostGeneralWhyExplanations(*s.binding, present, opts);
 }
 
 }  // namespace whynot::explain

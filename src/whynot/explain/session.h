@@ -21,9 +21,8 @@
 namespace whynot::explain {
 
 /// Session-wide knobs, fixed at Bind time. The per-algorithm option
-/// structs keep their one-shot meanings; `lub` overrides the lub limits
-/// of both the incremental and the enumeration searches so the session's
-/// single shared LubContext serves every derived request.
+/// structs keep their one-shot meanings; `lub` limits every lub the
+/// session's Binding computes.
 struct ExplainSessionOptions {
   ExhaustiveOptions exhaustive;    // Exhaustive/Pruned/CardMaximal budgets
   ExistenceOptions existence;
@@ -57,24 +56,22 @@ struct GradedMges {
 /// Prepared serving facade for repeated explanation traffic over one
 /// (ontology, instance, query, answers) binding.
 ///
-/// The one-shot entry points re-derive the same warm state on every call:
-/// query answers, extension warm-up, answer-cover bitmaps, lub canonical
-/// boxes, eval memos. A session binds that state once — Bind evaluates
-/// the query, warms the instance's lazy caches for concurrent reads,
-/// warms every bound-ontology extension (sharded), and constructs the
-/// answer-cover tables — and then serves repeated WhyNot / Why /
-/// EnumerateMges / Cardinality / Existence requests that only vary the
-/// asked-about tuple. Results, enumeration order, and stats are
-/// bit-identical to the standalone entry points at every thread count:
-/// all shared caches memoize pure functions of the fixed (instance,
-/// answers) binding, so warm-vs-cold only changes time.
+/// A session holds one explain::Binding — the fixed (instance, Ans,
+/// ontology) part of every question — plus options and a cancel token.
+/// Bind evaluates the query, warms the instance's lazy caches for
+/// concurrent reads and every bound-ontology extension (sharded); the
+/// binding builds the rest of its warm state (answer covers, lattice, lub
+/// boxes, eval memos, concept cache) on first use. Requests then only vary
+/// the asked-about tuple. Results, enumeration order, and stats are
+/// bit-identical to the one-shot entry points at every thread count: all
+/// shared caches memoize pure functions of the binding, so warm-vs-cold
+/// only changes time.
 ///
-/// Invalidation: the session records rel::Instance::version() at warm
-/// time. A mutation (AddFact / ClearRelation) bumps the counter, and the
-/// next request deterministically rebuilds everything — re-evaluating the
-/// query when the session was bound from one — instead of serving stale
-/// extensions. Mutating the instance *during* a request is not supported
-/// (same contract as the one-shot searches).
+/// Invalidation: a mutation (AddFact / ClearRelation) bumps
+/// rel::Instance::version(), and the next request rebuilds the binding —
+/// re-evaluating the query when the session was bound from one — instead
+/// of serving stale extensions. Mutating the instance *during* a request
+/// is not supported (same contract as the one-shot searches).
 ///
 /// Threading: requests dispatch into the same parallel searches as the
 /// one-shot calls. The session itself is single-threaded — serve
@@ -136,7 +133,8 @@ class ExplainSession {
   /// Cumulative traffic counters of the session's shared concept cache
   /// across every derived request served so far. Observability only — the
   /// split between shared/local hits is thread-dependent (the values
-  /// served are identical); counters survive rewarm, entries do not.
+  /// served are identical); counters survive a binding rebuild, entries do
+  /// not (they count as evictions).
   ls::ConceptCacheStats CacheStats() const;
 
   // --- Execution control ---------------------------------------------------
@@ -229,25 +227,14 @@ class ExplainSession {
   struct State;
   explicit ExplainSession(std::unique_ptr<State> state);
 
-  /// Shared Bind/BindWithAnswers boilerplate: allocates the state and
-  /// couples the per-algorithm lub limits to the session-wide ones.
-  static std::unique_ptr<State> MakeState(const rel::Instance* instance,
-                                          const onto::FiniteOntology* ontology,
-                                          ExplainSessionOptions options);
-
-  /// Rebuilds all warm state against the current instance contents;
-  /// re-evaluates the query when the session owns one. `exec` is observed
-  /// by the extension warm-up (WarmExtensions), so a request's deadline
-  /// covers the rewarm it triggers.
-  Status Rewarm(const exec::ExecContext* exec = nullptr);
-  /// Rewarm iff the instance version moved since the last warm-up.
-  Status RewarmIfStale(const exec::ExecContext* exec = nullptr);
-  /// RewarmIfStale, then validates and installs the request tuple
-  /// (missing ∉ Ans when `expect_answer` is false, present ∈ Ans
-  /// otherwise).
+  /// Rebuilds the binding when the instance version moved since it was
+  /// made (re-evaluating the query when the session owns one), then warms
+  /// it; `exec` is observed by the extension warm-up.
+  Status Refresh(const exec::ExecContext* exec = nullptr);
+  /// Refresh, then validates the request tuple (missing ∉ Ans when
+  /// `expect_answer` is false, present ∈ Ans otherwise).
   Status Prepare(const Tuple& tuple, bool expect_answer,
-                 const exec::ExecContext* exec = nullptr);
-  Status RequireOntology() const;
+                 const exec::ExecContext* exec);
 
   std::unique_ptr<State> state_;
 };

@@ -5,7 +5,6 @@
 #include <optional>
 #include <utility>
 
-#include "whynot/common/algorithm.h"
 #include "whynot/concepts/ls_eval.h"
 #include "whynot/explain/search_core.h"
 #include "whynot/relational/cq_eval.h"
@@ -33,16 +32,6 @@ Result<WhyInstance> MakeWhyInstance(const rel::Instance* instance,
 }
 
 namespace {
-
-/// The counting formulations below require Ans to be duplicate-free.
-/// MakeWhyInstance guarantees that (rel::Evaluate sort-dedups), but
-/// WhyInstance is a plain struct that callers may fill by hand, so the
-/// answer vectors are defensively sort-deduped where they are built.
-std::vector<Tuple> SortedUniqueAnswers(const WhyInstance& wi) {
-  std::vector<Tuple> answers = wi.answers;
-  SortUnique(&answers);
-  return answers;
-}
 
 /// "product ⊆ Ans" in counting form over the answer-cover kernel: the
 /// product tuples are pairwise distinct and Ans is duplicate-free, so the
@@ -75,66 +64,46 @@ bool ProductInsideAnswers(onto::BoundOntology* bound,
 
 }  // namespace
 
-std::vector<std::vector<ValueId>> InternedUniqueAnswers(
-    onto::BoundOntology* bound, const WhyInstance& wi) {
-  std::vector<std::vector<ValueId>> answers;
-  answers.reserve(wi.answers.size());
-  for (const Tuple& t : wi.answers) {
-    std::vector<ValueId> ids;
-    ids.reserve(t.size());
-    for (const Value& v : t) ids.push_back(bound->pool().Intern(v));
-    answers.push_back(std::move(ids));
-  }
-  SortUnique(&answers);
-  return answers;
-}
-
-Result<bool> IsWhyExplanation(onto::BoundOntology* bound,
-                              const WhyInstance& wi, const Explanation& e,
-                              ConceptAnswerCovers* covers) {
-  if (e.size() != wi.arity()) {
+Result<bool> IsWhyExplanation(Binding& binding, const Tuple& present,
+                              const Explanation& e) {
+  WHYNOT_RETURN_IF_ERROR(binding.Check(/*needs_ontology=*/true));
+  onto::BoundOntology* bound = binding.bound();
+  if (e.size() != present.size()) {
     return Status::InvalidArgument(
         "explanation arity does not match the tuple");
   }
   for (size_t i = 0; i < e.size(); ++i) {
-    ValueId id = bound->pool().Intern(wi.present[i]);
+    ValueId id = bound->pool().Intern(present[i]);
     if (!bound->Ext(e[i]).Contains(id)) return false;
   }
-  std::optional<ConceptAnswerCovers> local;
-  if (covers == nullptr) {
-    local.emplace(bound, InternedUniqueAnswers(bound, wi));
-    covers = &*local;
-  }
-  return ProductInsideAnswers(bound, e, covers);
+  return ProductInsideAnswers(bound, e, &binding.covers());
 }
 
 Result<std::vector<Explanation>> AllMostGeneralWhyExplanations(
-    onto::BoundOntology* bound, const WhyInstance& wi, size_t max_candidates,
-    ConceptAnswerCovers* covers, SearchStrategy strategy,
-    LatticeHandle* lattice, PruneStats* prune_stats,
-    const exec::ExecContext* exec, exec::Certificate* cert) {
-  size_t m = wi.arity();
+    Binding& binding, const Tuple& present, const ExhaustiveOptions& options) {
+  WHYNOT_RETURN_IF_ERROR(binding.Check(/*needs_ontology=*/true));
+  onto::BoundOntology* bound = binding.bound();
+  const size_t max_candidates = options.max_candidates;
+  PruneStats* prune_stats = options.prune_stats;
+  const exec::ExecContext* exec = options.exec;
+  exec::Certificate* cert = options.cert;
+  size_t m = present.size();
   std::vector<std::vector<onto::ConceptId>> lists(m);
   for (size_t i = 0; i < m; ++i) {
-    ValueId id = bound->pool().Intern(wi.present[i]);
+    ValueId id = bound->pool().Intern(present[i]);
     lists[i] = bound->ConceptsContaining(id);
     if (lists[i].empty()) {
       exec::FillCertificate(cert, exec::Stop{}, exec::Progress{}, 0);
       return std::vector<Explanation>{};
     }
   }
-  std::optional<ConceptAnswerCovers> local;
-  if (covers == nullptr) {
-    local.emplace(bound, InternedUniqueAnswers(bound, wi));
-    covers = &*local;
-  }
+  ConceptAnswerCovers* covers = &binding.covers();
   CandidateSpace space(lists);
   // "product ⊆ Ans" is ≼-downward closed just like avoidance (a smaller
   // product stays inside Ans), so the strategy dispatch is the
   // exhaustive search's verbatim.
-  std::unique_ptr<LatticeHandle> local_lattice;
-  LatticeChoice choice = ChooseStrategy(strategy, space, max_candidates, bound,
-                                        lattice, &local_lattice);
+  LatticeChoice choice = ChooseStrategy(options.strategy, space,
+                                        max_candidates, binding.lattice());
   if (!choice.use_lattice && cert == nullptr &&
       (space.overflow() || space.total() > max_candidates)) {
     return Status::ResourceExhausted(
@@ -257,98 +226,52 @@ bool LsProductInsideAnswers(LsAnswerCovers* covers,
   return covers->CountCovered(exts, swap_pos, repl) == product_size;
 }
 
-/// `covers` must be over the sort-deduped answer vector of `wi`.
-bool IsLsWhyExplanationImpl(const WhyInstance& wi, const LsExplanation& e,
-                            LsAnswerCovers* covers, ls::EvalCache* cache) {
-  if (e.size() != wi.arity()) return false;
-  const ValuePool& pool = wi.instance->pool();
+bool LsWhyInside(Binding& binding, const Tuple& present,
+                 const LsExplanation& e) {
+  if (e.size() != present.size()) return false;
+  const ValuePool& pool = binding.instance()->pool();
   std::vector<const ls::Extension*> exts;
   exts.reserve(e.size());
   for (size_t i = 0; i < e.size(); ++i) {
-    const ls::Extension& ext = cache->Eval(e[i]);
-    if (!ext.ContainsInterned(pool.Lookup(wi.present[i]), wi.present[i])) {
+    const ls::Extension& ext = binding.eval_cache().Eval(e[i]);
+    if (!ext.ContainsInterned(pool.Lookup(present[i]), present[i])) {
       return false;
     }
     exts.push_back(&ext);
   }
-  return LsProductInsideAnswers(covers, exts);
-}
-
-/// Per-call fallbacks for the prepared-session cache parameters: the
-/// session passes its warm EvalCache / LsAnswerCovers (over its sorted
-/// answer vector); one-shot calls materialize locals here. `sorted`
-/// stores the defensively sort-deduped answers the local covers index.
-struct WhyScratch {
-  std::optional<std::vector<Tuple>> sorted;
-  std::optional<ls::EvalCache> cache;
-  std::optional<LsAnswerCovers> covers;
-};
-
-void ResolveWhyCaches(const WhyInstance& wi, ls::EvalCache** cache,
-                      LsAnswerCovers** covers, WhyScratch* scratch) {
-  if (*cache == nullptr) {
-    scratch->cache.emplace(wi.instance);
-    *cache = &*scratch->cache;
-  }
-  if (*covers == nullptr) {
-    scratch->sorted.emplace(SortedUniqueAnswers(wi));
-    scratch->covers.emplace(wi.instance, &*scratch->sorted);
-    *covers = &*scratch->covers;
-  }
+  return LsProductInsideAnswers(&binding.ls_covers(), exts);
 }
 
 }  // namespace
 
-bool IsLsWhyExplanation(const WhyInstance& wi, const LsExplanation& e,
-                        ls::EvalCache* cache, LsAnswerCovers* covers) {
-  WhyScratch scratch;
-  ResolveWhyCaches(wi, &cache, &covers, &scratch);
-  return IsLsWhyExplanationImpl(wi, e, covers, cache);
+Result<bool> IsLsWhyExplanation(Binding& binding, const Tuple& present,
+                                const LsExplanation& e) {
+  WHYNOT_RETURN_IF_ERROR(binding.Check(/*needs_ontology=*/false));
+  return LsWhyInside(binding, present, e);
 }
 
-Result<LsExplanation> IncrementalWhySearch(const WhyInstance& wi,
-                                           bool with_selections,
-                                           ls::LubContext* lub_context,
-                                           ls::EvalCache* cache,
-                                           LsAnswerCovers* covers,
-                                           ls::ConceptCache* concept_cache,
-                                           const exec::ExecContext* exec,
-                                           exec::Certificate* cert,
-                                           ls::ConceptCacheOverlay* session_overlay) {
-  std::optional<ls::LubContext> local_ctx;
-  if (lub_context == nullptr) {
-    local_ctx.emplace(wi.instance);
-    lub_context = &*local_ctx;
-  }
-  WhyScratch scratch;
-  ResolveWhyCaches(wi, &cache, &covers, &scratch);
-  std::optional<ls::ConceptCache> local_cc;
-  if (concept_cache == nullptr) {
-    local_cc.emplace(wi.instance);
-    concept_cache = &*local_cc;
-  }
-  size_t m = wi.arity();
-  const ValuePool& pool = wi.instance->pool();
+Result<LsExplanation> IncrementalWhySearch(Binding& binding,
+                                           const Tuple& present,
+                                           const IncrementalOptions& options) {
+  WHYNOT_RETURN_IF_ERROR(binding.Check(/*needs_ontology=*/false));
+  const exec::ExecContext* exec = options.exec;
+  exec::Certificate* cert = options.cert;
+  LsAnswerCovers* covers = &binding.ls_covers();
+  size_t m = present.size();
+  const ValuePool& pool = binding.instance()->pool();
 
-  // The whole greedy sweep is serial, so one overlay over the shared cache
-  // suffices; published on every return path (including certified stops)
-  // so a session cache carries the lubs to later requests. A session's
-  // persistent overlay (warm private maps) is used when it matches this
-  // search's flavor.
-  std::optional<ls::ConceptCacheOverlay> local_overlay;
-  if (session_overlay == nullptr ||
-      session_overlay->with_selections() != with_selections) {
-    local_overlay.emplace(concept_cache, with_selections, lub_context, cache);
-  }
+  // The whole greedy sweep is serial, so the binding's serial overlay over
+  // the shared cache suffices; published on every return path (including
+  // certified stops) so later searches on the binding reuse the lubs.
   ls::ConceptCacheOverlay& overlay =
-      local_overlay.has_value() ? *local_overlay : *session_overlay;
-  ls::ScopedPublish publish(concept_cache, &overlay);
+      binding.serial_overlay(options.with_selections);
+  ls::ScopedPublish publish(&binding.concept_cache(), &overlay);
 
   std::vector<std::vector<Value>> support(m);
   LsExplanation e(m);
   std::vector<const ls::Extension*> exts(m);
   for (size_t j = 0; j < m; ++j) {
-    support[j] = {wi.present[j]};
+    support[j] = {present[j]};
     WHYNOT_ASSIGN_OR_RETURN(const ls::ConceptCache::Entry* entry,
                             overlay.LubAndEval(support[j]));
     e[j] = entry->concept;
@@ -368,10 +291,10 @@ Result<LsExplanation> IncrementalWhySearch(const WhyInstance& wi,
   // why-explanation (every acceptance preserves product ⊆ Ans).
   size_t probes = 0;
   std::optional<exec::Stop> halted;
-  const std::vector<Value>& adom = wi.instance->ActiveDomain();
-  const std::vector<ValueId>& adom_ids = wi.instance->ActiveDomainIds();
+  const std::vector<Value>& adom = binding.instance()->ActiveDomain();
+  const std::vector<ValueId>& adom_ids = binding.instance()->ActiveDomainIds();
   for (size_t j = 0; j < m && !halted.has_value(); ++j) {
-    ValueId present_id = pool.Lookup(wi.present[j]);
+    ValueId present_id = pool.Lookup(present[j]);
     for (size_t bi = 0; bi < adom.size(); ++bi) {
       size_t probe = probes++;
       if (std::optional<exec::Stop> s = exec::Check(exec, probe)) {
@@ -386,11 +309,11 @@ Result<LsExplanation> IncrementalWhySearch(const WhyInstance& wi,
       extended.push_back(adom[bi]);
       // Probe-once candidates take the transient path (no support-tier
       // record); an acceptance is promoted in place, reusing the lub and
-      // extension the probe just computed, so the session cache carries
+      // extension the probe just computed, so the binding's cache carries
       // it to later requests.
       WHYNOT_ASSIGN_OR_RETURN(std::shared_ptr<const ls::Extension> cand_ext,
                               overlay.LubExtTransient(extended));
-      if (cand_ext->ContainsInterned(present_id, wi.present[j]) &&
+      if (cand_ext->ContainsInterned(present_id, present[j]) &&
           LsProductInsideAnswers(covers, exts, j, cand_ext.get())) {
         const ls::ConceptCache::Entry* entry = overlay.PromoteLastProbe();
         support[j] = std::move(extended);
@@ -410,37 +333,24 @@ Result<LsExplanation> IncrementalWhySearch(const WhyInstance& wi,
   return e;
 }
 
-Result<bool> CheckWhyMgeDerived(const WhyInstance& wi,
+Result<bool> CheckWhyMgeDerived(Binding& binding, const Tuple& present,
                                 const LsExplanation& candidate,
-                                bool with_selections,
-                                ls::LubContext* lub_context,
-                                ls::EvalCache* cache,
-                                LsAnswerCovers* covers,
-                                ls::ConceptCache* concept_cache,
-                                const exec::ExecContext* exec) {
-  WhyScratch scratch;
-  ResolveWhyCaches(wi, &cache, &covers, &scratch);
-  std::optional<ls::ConceptCache> local_cc;
-  if (concept_cache == nullptr) {
-    local_cc.emplace(wi.instance);
-    concept_cache = &*local_cc;
-  }
-  // The parallel workers build their own covers, which must index the
-  // same answer vector the shared `covers` do: the local sort-deduped
-  // copy on the one-shot path, or wi.answers itself when the caller
-  // passed warm covers — the covers contract (see the header) then
-  // guarantees wi.answers is already sorted and duplicate-free, so both
-  // definitions coincide.
-  const std::vector<Tuple>& answers =
-      scratch.sorted.has_value() ? *scratch.sorted : wi.answers;
-  if (!IsLsWhyExplanationImpl(wi, candidate, covers, cache)) return false;
+                                const IncrementalOptions& options) {
+  WHYNOT_RETURN_IF_ERROR(binding.Check(/*needs_ontology=*/false));
+  const rel::Instance* instance = binding.instance();
+  const bool with_selections = options.with_selections;
+  const exec::ExecContext* exec = options.exec;
+  ls::EvalCache* cache = &binding.eval_cache();
+  LsAnswerCovers* covers = &binding.ls_covers();
+  ls::ConceptCache* concept_cache = &binding.concept_cache();
+  if (!LsWhyInside(binding, present, candidate)) return false;
   std::vector<const ls::Extension*> exts;
   exts.reserve(candidate.size());
   for (const ls::LsConcept& c : candidate) {
     exts.push_back(&cache->Eval(c));
   }
-  const std::vector<Value>& adom = wi.instance->ActiveDomain();
-  const std::vector<ValueId>& adom_ids = wi.instance->ActiveDomainIds();
+  const std::vector<Value>& adom = instance->ActiveDomain();
+  const std::vector<ValueId>& adom_ids = instance->ActiveDomainIds();
 
   if (par::NumThreads() > 1 && adom.size() >= 4) {
     // The per-constant probes — lub, eval, counting AND — are independent
@@ -451,7 +361,7 @@ Result<bool> CheckWhyMgeDerived(const WhyInstance& wi,
     // serial loop returns at the *smallest* bi that either errors or
     // breaks maximality, which is exactly the sweep's winning outcome —
     // identical for every thread count.
-    wi.instance->WarmForConcurrentReads();
+    instance->WarmForConcurrentReads();
     struct Worker {
       ls::LubContext lub;
       ls::EvalCache cache;
@@ -473,8 +383,8 @@ Result<bool> CheckWhyMgeDerived(const WhyInstance& wi,
     std::vector<std::unique_ptr<Worker>> workers(
         static_cast<size_t>(par::MaxWorkers()));
     auto make_worker = [&]() {
-      return std::make_unique<Worker>(wi.instance, &answers,
-                                      lub_context->options(), candidate,
+      return std::make_unique<Worker>(instance, &binding.answers(),
+                                      binding.lub_options(), candidate,
                                       concept_cache, with_selections);
     };
     for (size_t j = 0; j < candidate.size(); ++j) {
@@ -505,7 +415,7 @@ Result<bool> CheckWhyMgeDerived(const WhyInstance& wi,
           exec);
       // Publish-after-sweep: drain the worker overlays in slot order (a
       // thread-independent linearization) at this serial point, so later
-      // positions — and later requests against a session cache — reuse
+      // positions — and later searches on the same binding — reuse
       // the lubs this sweep computed.
       for (std::unique_ptr<Worker>& wk : workers) {
         if (wk != nullptr) concept_cache->Publish(&wk->overlay);
@@ -524,10 +434,10 @@ Result<bool> CheckWhyMgeDerived(const WhyInstance& wi,
     }
   } else {
     // Serial maximality probes through a single overlay over the shared
-    // cache; published on every return path so later requests against a
-    // session cache start warm.
+    // cache; published on every return path so later searches on the same
+    // binding start warm.
     ls::ConceptCacheOverlay overlay(concept_cache, with_selections,
-                                    lub_context, cache);
+                                    &binding.lub(), cache);
     ls::ScopedPublish publish(concept_cache, &overlay);
     for (size_t j = 0; j < candidate.size(); ++j) {
       if (std::optional<exec::Stop> s = exec::Check(exec, j)) {
@@ -551,6 +461,39 @@ Result<bool> CheckWhyMgeDerived(const WhyInstance& wi,
     }
   }
   return true;
+}
+
+// --- One-shot forms: a temporary binding per call -------------------------
+
+Result<bool> IsWhyExplanation(onto::BoundOntology* bound,
+                              const WhyInstance& wi, const Explanation& e) {
+  Binding binding(bound, wi.answers);
+  return IsWhyExplanation(binding, wi.present, e);
+}
+
+Result<std::vector<Explanation>> AllMostGeneralWhyExplanations(
+    onto::BoundOntology* bound, const WhyInstance& wi,
+    const ExhaustiveOptions& options) {
+  Binding binding(bound, wi.answers);
+  return AllMostGeneralWhyExplanations(binding, wi.present, options);
+}
+
+bool IsLsWhyExplanation(const WhyInstance& wi, const LsExplanation& e) {
+  Binding binding(wi.instance, wi.answers);
+  return LsWhyInside(binding, wi.present, e);
+}
+
+Result<LsExplanation> IncrementalWhySearch(const WhyInstance& wi,
+                                           const IncrementalOptions& options) {
+  Binding binding(wi.instance, wi.answers);
+  return IncrementalWhySearch(binding, wi.present, options);
+}
+
+Result<bool> CheckWhyMgeDerived(const WhyInstance& wi,
+                                const LsExplanation& candidate,
+                                const IncrementalOptions& options) {
+  Binding binding(wi.instance, wi.answers);
+  return CheckWhyMgeDerived(binding, wi.present, candidate, options);
 }
 
 }  // namespace whynot::explain

@@ -7,7 +7,10 @@
 #include "whynot/common/status.h"
 #include "whynot/concepts/concept_cache.h"
 #include "whynot/concepts/lub.h"
+#include "whynot/explain/binding.h"
+#include "whynot/explain/exhaustive.h"
 #include "whynot/explain/explanation.h"
+#include "whynot/explain/incremental.h"
 #include "whynot/explain/lattice.h"
 
 namespace whynot::explain {
@@ -26,7 +29,7 @@ namespace whynot::explain {
 /// changed (⊆ Ans instead of ∩ Ans = ∅).
 struct WhyInstance {
   const rel::Instance* instance = nullptr;
-  std::vector<Tuple> answers;  // q(I), sorted
+  std::vector<Tuple> answers;  // q(I)
   Tuple present;               // a ∈ q(I)
 
   size_t arity() const { return present.size(); }
@@ -37,38 +40,30 @@ Result<WhyInstance> MakeWhyInstance(const rel::Instance* instance,
                                     const rel::UnionQuery& query,
                                     Tuple present);
 
-/// The why-dual's answer rows interned against the bound pool and
-/// sort-deduped — the vector the external why covers index (the counting
-/// form needs Ans duplicate-free). Shared with ExplainSession's warm
-/// cover table.
-std::vector<std::vector<ValueId>> InternedUniqueAnswers(
-    onto::BoundOntology* bound, const WhyInstance& wi);
-
-/// Checks the dual Definition 3.2 above. `covers`, when non-null, must be
-/// the answer-cover table of (bound, InternedUniqueAnswers(bound, wi)) —
-/// a prepared ExplainSession's warm table; results are identical.
+/// Checks the dual Definition 3.2 above for `present` over the binding's
+/// ontology.
+Result<bool> IsWhyExplanation(Binding& binding, const Tuple& present,
+                              const Explanation& e);
+/// One-shot form over a temporary binding of (bound, wi.answers).
 Result<bool> IsWhyExplanation(onto::BoundOntology* bound,
-                              const WhyInstance& wi, const Explanation& e,
-                              ConceptAnswerCovers* covers = nullptr);
+                              const WhyInstance& wi, const Explanation& e);
 
 /// All most-general why-explanations, by the Algorithm 1 scheme (enumerate
 /// candidates per position, keep product-inside-answers tuples, reduce to
-/// the maximal antichain). Same complexity envelope as Theorem 5.2, and
-/// the same `covers` contract as IsWhyExplanation. The containment
-/// condition is ≼-downward closed exactly like avoidance, so the search
-/// dispatches through the same strategy machinery as
-/// ExhaustiveSearchAllMge: `strategy`/`lattice`/`prune_stats` follow the
-/// ExhaustiveOptions contracts, and the frontier path returns the
-/// identical antichain. `exec`/`cert` follow the engine-wide contract
-/// (ExhaustiveOptions): with `cert`, a stop returns the deterministic
-/// partial antichain (Quality::kLowerBound) instead of an error, and
-/// max_candidates becomes a certified budget stop.
+/// the maximal antichain). Same complexity envelope as Theorem 5.2. The
+/// containment condition is ≼-downward closed exactly like avoidance, so
+/// the search dispatches through the same strategy machinery as
+/// ExhaustiveSearchAllMge: every ExhaustiveOptions field keeps its
+/// meaning there, and the frontier path returns the identical antichain.
+/// With `options.cert`, a stop returns the deterministic partial antichain
+/// (Quality::kLowerBound) instead of an error, and max_candidates becomes
+/// a certified budget stop.
+Result<std::vector<Explanation>> AllMostGeneralWhyExplanations(
+    Binding& binding, const Tuple& present,
+    const ExhaustiveOptions& options = {});
 Result<std::vector<Explanation>> AllMostGeneralWhyExplanations(
     onto::BoundOntology* bound, const WhyInstance& wi,
-    size_t max_candidates = 20000000, ConceptAnswerCovers* covers = nullptr,
-    SearchStrategy strategy = SearchStrategy::kAuto,
-    LatticeHandle* lattice = nullptr, PruneStats* prune_stats = nullptr,
-    const exec::ExecContext* exec = nullptr, exec::Certificate* cert = nullptr);
+    const ExhaustiveOptions& options = {});
 
 // --- Why-explanations w.r.t. the derived ontology OI ----------------------
 
@@ -76,19 +71,9 @@ Result<std::vector<Explanation>> AllMostGeneralWhyExplanations(
 /// product is contained in the answers. A ⊤-valued position always fails
 /// (infinite product vs. finite Ans), so — unlike the why-not case — no
 /// ⊤-generalization sweep exists.
-///
-/// The trailing cache parameters follow the session convention used
-/// throughout this header: `cache` is an extension memo bound to
-/// wi.instance, `covers` an LsAnswerCovers over the *sort-deduped* answer
-/// vector fed by the same cache; both are created per call when null, and
-/// results are bit-identical either way. Passing `covers` additionally
-/// asserts that wi.answers is itself sorted and duplicate-free (an
-/// ExplainSession guarantees this) — the one-shot path sort-dedups a
-/// local copy defensively, but warm covers and a hand-filled,
-/// duplicate-carrying wi.answers would disagree on answer indexing.
-bool IsLsWhyExplanation(const WhyInstance& wi, const LsExplanation& e,
-                        ls::EvalCache* cache = nullptr,
-                        LsAnswerCovers* covers = nullptr);
+Result<bool> IsLsWhyExplanation(Binding& binding, const Tuple& present,
+                                const LsExplanation& e);
+bool IsLsWhyExplanation(const WhyInstance& wi, const LsExplanation& e);
 
 /// Algorithm 2's scheme applied to the dual problem: start from the
 /// nominal-pinned tuple (whose product is {a} ⊆ Ans) and greedily grow
@@ -96,44 +81,36 @@ bool IsLsWhyExplanation(const WhyInstance& wi, const LsExplanation& e,
 /// stays inside the answers. The "stays inside" condition is
 /// downward-closed in the supports, so one sweep in fixed order yields a
 /// most-general why-explanation w.r.t. OI (selection-free LS, or full LS
-/// with `with_selections`). PTIME for selection-free LS by the Theorem 5.3
-/// argument (the product of a why-explanation has at most |Ans| tuples, so
-/// every acceptance check is answer-bounded).
+/// with `options.with_selections`). PTIME for selection-free LS by the
+/// Theorem 5.3 argument (the product of a why-explanation has at most
+/// |Ans| tuples, so every acceptance check is answer-bounded).
 ///
-/// `exec`/`cert` follow the IncrementalOptions contract: probes are
-/// per generalization candidate in the fixed sweep order; with `cert` a
-/// stop returns the tuple generalized so far — a sound why-explanation,
-/// possibly not most general (Quality::kHeuristic).
-/// `concept_cache` is the shared lub/eval cache (session convention: null
-/// uses a call-local one; output is bit-identical either way).
-/// `session_overlay` follows the IncrementalSearch contract: a session's
-/// persistent overlay bound to (concept_cache, with_selections,
-/// lub_context, cache), keeping probe memos warm across requests.
+/// `options.exec`/`options.cert` follow the IncrementalOptions contract:
+/// probes are per generalization candidate in the fixed sweep order; with
+/// a certificate a stop returns the tuple generalized so far — a sound
+/// why-explanation, possibly not most general (Quality::kHeuristic).
+/// `generalize_to_top` is not read (no ⊤ sweep, see above). Probes run
+/// through the binding's serial overlay, as in IncrementalSearch.
 Result<LsExplanation> IncrementalWhySearch(
-    const WhyInstance& wi, bool with_selections = false,
-    ls::LubContext* lub_context = nullptr, ls::EvalCache* cache = nullptr,
-    LsAnswerCovers* covers = nullptr,
-    ls::ConceptCache* concept_cache = nullptr,
-    const exec::ExecContext* exec = nullptr,
-    exec::Certificate* cert = nullptr,
-    ls::ConceptCacheOverlay* session_overlay = nullptr);
+    Binding& binding, const Tuple& present,
+    const IncrementalOptions& options = {});
+Result<LsExplanation> IncrementalWhySearch(
+    const WhyInstance& wi, const IncrementalOptions& options = {});
 
 /// CHECK-MGE for the dual problem w.r.t. OI: no single-position
-/// lub-generalization keeps the product inside the answers. Same trailing
-/// cache convention as IsLsWhyExplanation, with `concept_cache` the shared
-/// lub/eval cache (published-tier reads during a sharded sweep, misses
-/// published at its serial end). `exec` is observed once per candidate
-/// position (the same serial points on the serial and sharded paths); the
-/// boolean verdict admits no meaningful partial result, so a stop always
-/// returns the matching error status.
+/// lub-generalization keeps the product inside the answers. The probes
+/// run through the binding's shared concept cache (published-tier reads
+/// during a sharded sweep, misses published at its serial end).
+/// `options.exec` is observed once per candidate position (the same
+/// serial points on the serial and sharded paths); the boolean verdict
+/// admits no meaningful partial result, so a stop always returns the
+/// matching error status. Only `with_selections` and `exec` are read.
+Result<bool> CheckWhyMgeDerived(Binding& binding, const Tuple& present,
+                                const LsExplanation& candidate,
+                                const IncrementalOptions& options = {});
 Result<bool> CheckWhyMgeDerived(const WhyInstance& wi,
                                 const LsExplanation& candidate,
-                                bool with_selections,
-                                ls::LubContext* lub_context,
-                                ls::EvalCache* cache = nullptr,
-                                LsAnswerCovers* covers = nullptr,
-                                ls::ConceptCache* concept_cache = nullptr,
-                                const exec::ExecContext* exec = nullptr);
+                                const IncrementalOptions& options = {});
 
 }  // namespace whynot::explain
 

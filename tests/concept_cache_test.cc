@@ -61,12 +61,14 @@ std::string Serialize(const explain::LsExplanation& e) {
   return s;
 }
 
+/// How the request mix reaches the searches.
+enum class Via { kOneShot, kSession, kBinding };
+
 /// Runs the full derived request mix — enumerate (twice, for cross-request
 /// reuse), incremental why-not, CHECK-MGE on the enumerated antichain,
-/// incremental why, why CHECK-MGE — and serializes every output plus the
-/// four deterministic EnumerateStats fields.
-std::string RunRequestMix(const Fixture& f, bool with_selections,
-                          bool through_session) {
+/// incremental why — and serializes every output plus the four
+/// deterministic EnumerateStats fields.
+std::string RunRequestMix(const Fixture& f, bool with_selections, Via via) {
   std::string out;
   auto append_stats = [&](const explain::EnumerateStats& stats) {
     out += "#" + std::to_string(stats.nodes_expanded) + "/" +
@@ -75,7 +77,7 @@ std::string RunRequestMix(const Fixture& f, bool with_selections,
            std::to_string(stats.max_delay) + ";";
   };
   std::vector<explain::LsExplanation> mges;
-  if (through_session) {
+  if (via == Via::kSession) {
     explain::ExplainSessionOptions options;
     options.incremental.with_selections = with_selections;
     options.enumerate.with_selections = with_selections;
@@ -105,6 +107,34 @@ std::string RunRequestMix(const Fixture& f, bool with_selections,
     auto why = s.Why(f.wi.present);
     EXPECT_TRUE(why.ok());
     if (why.ok()) out += "W:" + Serialize(why.value()) + ";";
+  } else if (via == Via::kBinding) {
+    // One binding reused by the whole mix.
+    explain::Binding b(f.instance.get(), f.wni.answers);
+    explain::EnumerateOptions eopts;
+    eopts.with_selections = with_selections;
+    explain::IncrementalOptions iopts;
+    iopts.with_selections = with_selections;
+    for (int round = 0; round < 2; ++round) {
+      explain::EnumerateStats stats;
+      auto r = explain::EnumerateAllMges(b, f.wni.missing, eopts, &stats);
+      EXPECT_TRUE(r.ok()) << r.status().ToString();
+      if (!r.ok()) return "enumerate failed";
+      mges = r.value();
+      for (const explain::LsExplanation& e : mges) out += Serialize(e) + ";";
+      append_stats(stats);
+    }
+    auto incr = explain::IncrementalSearch(b, f.wni.missing, iopts);
+    EXPECT_TRUE(incr.ok());
+    if (incr.ok()) out += "I:" + Serialize(incr.value()) + ";";
+    for (const explain::LsExplanation& e : mges) {
+      auto chk = explain::CheckMgeDerived(b, f.wni.missing, e, iopts);
+      EXPECT_TRUE(chk.ok());
+      out += chk.ok() && chk.value() ? "1" : "0";
+    }
+    out += ";";
+    auto why = explain::IncrementalWhySearch(b, f.wi.present, iopts);
+    EXPECT_TRUE(why.ok());
+    if (why.ok()) out += "W:" + Serialize(why.value()) + ";";
   } else {
     explain::EnumerateOptions eopts;
     eopts.with_selections = with_selections;
@@ -122,14 +152,13 @@ std::string RunRequestMix(const Fixture& f, bool with_selections,
     auto incr = explain::IncrementalSearch(f.wni, iopts);
     EXPECT_TRUE(incr.ok());
     if (incr.ok()) out += "I:" + Serialize(incr.value()) + ";";
-    ls::LubContext ctx(f.instance.get());
     for (const explain::LsExplanation& e : mges) {
-      auto chk = explain::CheckMgeDerived(f.wni, e, with_selections, &ctx);
+      auto chk = explain::CheckMgeDerived(f.wni, e, {with_selections});
       EXPECT_TRUE(chk.ok());
       out += chk.ok() && chk.value() ? "1" : "0";
     }
     out += ";";
-    auto why = explain::IncrementalWhySearch(f.wi, with_selections);
+    auto why = explain::IncrementalWhySearch(f.wi, {with_selections});
     EXPECT_TRUE(why.ok());
     if (why.ok()) out += "W:" + Serialize(why.value()) + ";";
   }
@@ -146,13 +175,13 @@ TEST_P(ConceptCacheEquivalenceTest, SessionSharedCacheMatchesOneShot) {
   std::optional<std::string> reference;
   for (int threads : kThreadCounts) {
     par::SetNumThreads(threads);
-    for (bool through_session : {false, true}) {
-      std::string got = RunRequestMix(f, with_selections, through_session);
+    for (Via via : {Via::kOneShot, Via::kSession, Via::kBinding}) {
+      std::string got = RunRequestMix(f, with_selections, via);
       if (!reference.has_value()) {
         reference = got;
       } else {
         EXPECT_EQ(got, *reference)
-            << (through_session ? "session" : "one-shot")
+            << "request path " << static_cast<int>(via)
             << " diverged at WHYNOT_THREADS=" << threads;
       }
     }
@@ -355,26 +384,6 @@ TEST(ConceptCacheTest, CapacityRejectionCountsEvictions) {
   // The rejected entry stays owned (and served) by the overlay.
   ASSERT_OK_AND_ASSIGN(const ls::ConceptCache::Entry* again, a.LubAndEval(x));
   EXPECT_EQ(entry, again);
-}
-
-TEST(ConceptCacheTest, ClearDropsEntriesKeepsCounters) {
-  UnitFixture f = MakeUnitFixture();
-  ls::ConceptCache cache(f.instance.get());
-  ls::LubContext lub(f.instance.get());
-  ls::ConceptCacheOverlay a(&cache, false, &lub);
-  std::vector<Value> x = {Value(2), Value(3)};
-  ASSERT_OK_AND_ASSIGN(const ls::ConceptCache::Entry* entry, a.LubAndEval(x));
-  (void)entry;
-  cache.Publish(&a);
-  size_t published = cache.size();
-  EXPECT_GT(published, 0u);
-  EXPECT_GT(cache.MemoryBytes(), 0u);
-  size_t misses_before = cache.stats().misses;
-  cache.Clear();
-  EXPECT_EQ(cache.size(), 0u);
-  EXPECT_EQ(cache.stats().misses, misses_before);
-  EXPECT_GE(cache.stats().evictions, published);
-  EXPECT_EQ(cache.FindSupport(false, x), nullptr);
 }
 
 TEST(ConceptCacheTest, MemoryBytesGrowsWithPublishedEntries) {

@@ -67,11 +67,10 @@ TEST_F(EnumerateTest, EveryOutputIsAnExplanation) {
 TEST_F(EnumerateTest, EveryOutputPassesCheckMge) {
   ASSERT_OK_AND_ASSIGN(std::vector<LsExplanation> mges,
                        EnumerateAllMges(*wni_));
-  ls::LubContext ctx(instance_.get());
   for (const LsExplanation& e : mges) {
     ASSERT_OK_AND_ASSIGN(
         bool is_mge,
-        explain::CheckMgeDerived(*wni_, e, /*with_selections=*/false, &ctx));
+        explain::CheckMgeDerived(*wni_, e, {/*with_selections=*/false}));
     EXPECT_TRUE(is_mge) << explain::LsExplanationToString(schema_, e);
   }
 }
@@ -138,11 +137,10 @@ TEST_F(EnumerateTest, WithSelectionsOutputsPassSelectionAwareCheckMge) {
   ASSERT_OK_AND_ASSIGN(std::vector<LsExplanation> mges,
                        EnumerateAllMges(*wni_, options));
   ASSERT_FALSE(mges.empty());
-  ls::LubContext ctx(instance_.get());
   for (const LsExplanation& e : mges) {
     ASSERT_OK_AND_ASSIGN(
         bool is_mge,
-        explain::CheckMgeDerived(*wni_, e, /*with_selections=*/true, &ctx));
+        explain::CheckMgeDerived(*wni_, e, {/*with_selections=*/true}));
     EXPECT_TRUE(is_mge) << explain::LsExplanationToString(schema_, e);
   }
 }

@@ -96,8 +96,15 @@ void TakeCert(Outcome* out, const exec::Certificate& cert) {
   out->progress = cert.progress;
 }
 
-using Runner = std::function<Outcome(Fixture&, const exec::ExecContext*,
-                                     exec::Certificate*)>;
+/// A fresh binding over the fixture: the one-shot state of a search.
+std::unique_ptr<explain::Binding> MakeBinding(Fixture& f) {
+  return std::make_unique<explain::Binding>(f.instance.get(), f.wni->answers,
+                                            f.ontology.get());
+}
+
+using Runner =
+    std::function<Outcome(Fixture&, explain::Binding&,
+                          const exec::ExecContext*, exec::Certificate*)>;
 
 struct SearchCase {
   const char* name;
@@ -113,13 +120,14 @@ std::vector<SearchCase> AllSearches() {
   std::vector<SearchCase> cases;
   cases.push_back(
       {"exhaustive-odometer",
-       [](Fixture& f, const exec::ExecContext* exec, exec::Certificate* cert) {
+       [](Fixture& f, explain::Binding& b, const exec::ExecContext* exec,
+          exec::Certificate* cert) {
          explain::ExhaustiveOptions o;
          o.strategy = explain::SearchStrategy::kOdometer;
          o.exec = exec;
          o.cert = cert;
          Outcome out;
-         auto r = explain::ExhaustiveSearchAllMge(f.bound.get(), *f.wni, o);
+         auto r = explain::ExhaustiveSearchAllMge(b, f.wni->missing, o);
          out.code = r.status().code();
          if (r.ok()) {
            for (const Explanation& e : r.value()) {
@@ -131,13 +139,14 @@ std::vector<SearchCase> AllSearches() {
        }});
   cases.push_back(
       {"pruned-lattice",
-       [](Fixture& f, const exec::ExecContext* exec, exec::Certificate* cert) {
+       [](Fixture& f, explain::Binding& b, const exec::ExecContext* exec,
+          exec::Certificate* cert) {
          explain::ExhaustiveOptions o;
          o.strategy = explain::SearchStrategy::kLattice;
          o.exec = exec;
          o.cert = cert;
          Outcome out;
-         auto r = explain::PrunedSearchAllMge(f.bound.get(), *f.wni, o);
+         auto r = explain::PrunedSearchAllMge(b, f.wni->missing, o);
          out.code = r.status().code();
          if (r.ok()) {
            for (const Explanation& e : r.value()) {
@@ -149,13 +158,14 @@ std::vector<SearchCase> AllSearches() {
        }});
   cases.push_back(
       {"card-maximal",
-       [](Fixture& f, const exec::ExecContext* exec, exec::Certificate* cert) {
+       [](Fixture& f, explain::Binding& b, const exec::ExecContext* exec,
+          exec::Certificate* cert) {
          explain::ExhaustiveOptions o;
          o.strategy = explain::SearchStrategy::kOdometer;
          o.exec = exec;
          o.cert = cert;
          Outcome out;
-         auto r = explain::ExactCardMaximal(f.bound.get(), *f.wni, o);
+         auto r = explain::ExactCardMaximal(b, f.wni->missing, o);
          out.code = r.status().code();
          if (r.ok() && r.value().has_value()) {
            out.items.push_back(
@@ -167,13 +177,14 @@ std::vector<SearchCase> AllSearches() {
        }});
   cases.push_back(
       {"exists",
-       [](Fixture& f, const exec::ExecContext* exec, exec::Certificate* cert) {
+       [](Fixture& f, explain::Binding& b, const exec::ExecContext* exec,
+          exec::Certificate* cert) {
          explain::ExistenceOptions o;
          o.exec = exec;
          o.cert = cert;
          Explanation witness;
          Outcome out;
-         auto r = explain::ExistsExplanation(f.bound.get(), *f.wni, &witness, o);
+         auto r = explain::ExistsExplanation(b, f.wni->missing, o, &witness);
          out.code = r.status().code();
          if (r.ok()) {
            out.items.push_back(
@@ -186,12 +197,14 @@ std::vector<SearchCase> AllSearches() {
        }});
   cases.push_back(
       {"why-mges",
-       [](Fixture& f, const exec::ExecContext* exec, exec::Certificate* cert) {
+       [](Fixture& f, explain::Binding& b, const exec::ExecContext* exec,
+          exec::Certificate* cert) {
          Outcome out;
-         auto r = explain::AllMostGeneralWhyExplanations(
-             f.bound.get(), *f.wi, /*max_candidates=*/20000000,
-             /*covers=*/nullptr, explain::SearchStrategy::kOdometer,
-             /*lattice=*/nullptr, /*prune_stats=*/nullptr, exec, cert);
+         explain::ExhaustiveOptions o;
+         o.strategy = explain::SearchStrategy::kOdometer;
+         o.exec = exec;
+         o.cert = cert;
+         auto r = explain::AllMostGeneralWhyExplanations(b, f.wi->present, o);
          out.code = r.status().code();
          if (r.ok()) {
            for (const Explanation& e : r.value()) {
@@ -203,13 +216,14 @@ std::vector<SearchCase> AllSearches() {
        }});
   cases.push_back(
       {"enumerate",
-       [](Fixture& f, const exec::ExecContext* exec, exec::Certificate* cert) {
+       [](Fixture& f, explain::Binding& b, const exec::ExecContext* exec,
+          exec::Certificate* cert) {
          explain::EnumerateOptions o;
          o.exec = exec;
          o.cert = cert;
          explain::EnumerateStats stats;
          Outcome out;
-         auto r = explain::EnumerateAllMges(*f.wni, o, &stats);
+         auto r = explain::EnumerateAllMges(b, f.wni->missing, o, &stats);
          out.code = r.status().code();
          if (r.ok()) {
            for (const explain::LsExplanation& e : r.value()) {
@@ -235,6 +249,10 @@ test::FaultInjector MakeInjector(exec::StopReason reason, size_t trigger) {
 // Certified interruption at every injection point: the partial prefix and
 // certificate of each search must be bit-identical at every thread count.
 TEST(FaultInjectionMatrix, CertifiedPartialsAreBitIdenticalAcrossThreads) {
+  // Every run goes once through a fresh binding and once through one
+  // binding reused by every run of the matrix, interrupted ones included.
+  Fixture shared = MakeFixture();
+  std::unique_ptr<explain::Binding> reused = MakeBinding(shared);
   for (const SearchCase& sc : AllSearches()) {
     for (exec::StopReason reason :
          {exec::StopReason::kCancelled, exec::StopReason::kDeadline}) {
@@ -243,27 +261,32 @@ TEST(FaultInjectionMatrix, CertifiedPartialsAreBitIdenticalAcrossThreads) {
         for (int threads : kThreadCounts) {
           par::SetNumThreads(threads);
           Fixture f = MakeFixture();
-          test::FaultInjector inj = MakeInjector(reason, trigger);
-          exec::ExecContext ctx;
-          ctx.fault = &inj;
-          exec::Certificate cert;
-          Outcome got = sc.run(f, &ctx, &cert);
-          // Certified stops never surface as errors.
-          ASSERT_EQ(got.code, StatusCode::kOk)
-              << sc.name << " trigger=" << trigger
-              << " threads=" << threads << ": " << got.ToString();
-          if (got.stop != exec::StopReason::kNone) {
-            EXPECT_EQ(got.stop, reason)
-                << sc.name << " trigger=" << trigger;
-          }
-          if (!reference.has_value()) {
-            reference = std::move(got);
-          } else {
-            EXPECT_TRUE(got == *reference)
-                << sc.name << " (" << exec::StopReasonName(reason)
-                << " at " << trigger << ") diverged at WHYNOT_THREADS="
-                << threads << "\n  threads=1: " << reference->ToString()
-                << "\n  threads=" << threads << ": " << got.ToString();
+          std::unique_ptr<explain::Binding> fresh = MakeBinding(f);
+          for (bool reuse : {false, true}) {
+            test::FaultInjector inj = MakeInjector(reason, trigger);
+            exec::ExecContext ctx;
+            ctx.fault = &inj;
+            exec::Certificate cert;
+            Outcome got = reuse ? sc.run(shared, *reused, &ctx, &cert)
+                                : sc.run(f, *fresh, &ctx, &cert);
+            // Certified stops never surface as errors.
+            ASSERT_EQ(got.code, StatusCode::kOk)
+                << sc.name << " trigger=" << trigger
+                << " threads=" << threads << ": " << got.ToString();
+            if (got.stop != exec::StopReason::kNone) {
+              EXPECT_EQ(got.stop, reason)
+                  << sc.name << " trigger=" << trigger;
+            }
+            if (!reference.has_value()) {
+              reference = std::move(got);
+            } else {
+              EXPECT_TRUE(got == *reference)
+                  << sc.name << " (" << exec::StopReasonName(reason)
+                  << " at " << trigger << ") diverged at WHYNOT_THREADS="
+                  << threads << (reuse ? " (reused binding)" : "")
+                  << "\n  threads=1: " << reference->ToString()
+                  << "\n  threads=" << threads << ": " << got.ToString();
+            }
           }
         }
       }
@@ -283,7 +306,7 @@ TEST(FaultInjectionMatrix, EarlyTriggersActuallyInterrupt) {
     exec::ExecContext ctx;
     ctx.fault = &inj;
     exec::Certificate cert;
-    Outcome got = sc.run(f, &ctx, &cert);
+    Outcome got = sc.run(f, *MakeBinding(f), &ctx, &cert);
     ASSERT_EQ(got.code, StatusCode::kOk) << sc.name;
     EXPECT_EQ(got.stop, exec::StopReason::kCancelled) << sc.name;
     EXPECT_NE(got.quality, exec::Quality::kExact) << sc.name;
@@ -303,7 +326,7 @@ TEST(FaultInjectionMatrix, UncertifiedStopsAreErrors) {
         test::FaultInjector inj = test::FaultInjector::CancelAt(0);
         exec::ExecContext ctx;
         ctx.fault = &inj;
-        Outcome got = sc.run(f, &ctx, nullptr);
+        Outcome got = sc.run(f, *MakeBinding(f), &ctx, nullptr);
         EXPECT_EQ(got.code, StatusCode::kCancelled)
             << sc.name << " threads=" << threads;
       }
@@ -311,7 +334,7 @@ TEST(FaultInjectionMatrix, UncertifiedStopsAreErrors) {
         test::FaultInjector inj = test::FaultInjector::DeadlineAt(0);
         exec::ExecContext ctx;
         ctx.fault = &inj;
-        Outcome got = sc.run(f, &ctx, nullptr);
+        Outcome got = sc.run(f, *MakeBinding(f), &ctx, nullptr);
         EXPECT_EQ(got.code, StatusCode::kDeadlineExceeded)
             << sc.name << " threads=" << threads;
       }
@@ -328,7 +351,7 @@ TEST(FaultInjectionMatrix, RealExpiredDeadlineStopsEverySearch) {
     Fixture f = MakeFixture();
     exec::ExecContext ctx;
     ctx.deadline = exec::Deadline::After(0);
-    Outcome got = sc.run(f, &ctx, nullptr);
+    Outcome got = sc.run(f, *MakeBinding(f), &ctx, nullptr);
     EXPECT_EQ(got.code, StatusCode::kDeadlineExceeded) << sc.name;
   }
   par::SetNumThreads(0);
@@ -483,6 +506,7 @@ TEST(SessionExecTest, RewarmUnderInjectedWarmFaultFailsThenRecovers) {
       explain::ExplainSession::Bind(&instance, workload::ConnectedViaQuery(),
                                     f.ontology.get()));
   Tuple missing = {Value("Amsterdam"), Value("New York")};
+  const uint64_t v0 = session.warmed_version();
   // Invalidate the warm state with a genuinely new fact (duplicates are
   // version no-ops), then ask the next request to rewarm under an
   // injected warm failure. Rome→Kyoto keeps {Amsterdam, New York} missing.
@@ -495,9 +519,12 @@ TEST(SessionExecTest, RewarmUnderInjectedWarmFaultFailsThenRecovers) {
   Result<std::vector<Explanation>> r = session.ExhaustiveMges(missing, &ctx);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted);
+  // The failed warm-up does not count as warm.
+  EXPECT_EQ(session.warmed_version(), v0);
   // Without the fault the rewarm completes and the request serves the
   // mutated instance.
   EXPECT_TRUE(session.ExhaustiveMges(missing).ok());
+  EXPECT_EQ(session.warmed_version(), instance.version());
 }
 
 TEST(SessionExecTest, DegradationLadderExactWhenUninterrupted) {

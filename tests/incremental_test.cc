@@ -35,10 +35,9 @@ TEST_F(IncrementalTest, SelectionFreeOutputIsExplanationAndMge) {
   ASSERT_OK_AND_ASSIGN(LsExplanation e,
                        explain::IncrementalSearch(*wni_, options));
   EXPECT_TRUE(explain::IsLsExplanation(*wni_, e));
-  ls::LubContext ctx(instance_.get());
   ASSERT_OK_AND_ASSIGN(
       bool mge,
-      explain::CheckMgeDerived(*wni_, e, /*with_selections=*/false, &ctx));
+      explain::CheckMgeDerived(*wni_, e, {/*with_selections=*/false}));
   EXPECT_TRUE(mge);
 }
 
@@ -48,10 +47,9 @@ TEST_F(IncrementalTest, WithSelectionsOutputIsExplanationAndMge) {
   ASSERT_OK_AND_ASSIGN(LsExplanation e,
                        explain::IncrementalSearch(*wni_, options));
   EXPECT_TRUE(explain::IsLsExplanation(*wni_, e));
-  ls::LubContext ctx(instance_.get());
   ASSERT_OK_AND_ASSIGN(
       bool mge,
-      explain::CheckMgeDerived(*wni_, e, /*with_selections=*/true, &ctx));
+      explain::CheckMgeDerived(*wni_, e, {/*with_selections=*/true}));
   EXPECT_TRUE(mge);
 }
 

@@ -99,7 +99,9 @@ class LatticeEquivalenceTest : public ::testing::TestWithParam<uint64_t> {};
 
 /// The core equivalence: every rebased search returns the same value
 /// under kOdometer and kLattice, and the kLattice value (with its stats)
-/// is identical at every thread count.
+/// is identical at every thread count. The references run one-shot (a
+/// fresh binding per call); the kLattice runs share one binding reused
+/// across searches and thread counts, so its lattice and covers are warm.
 TEST_P(LatticeEquivalenceTest, FrontierMatchesOdometerEverywhere) {
   uint64_t seed = GetParam();
   for (bool deep : {false, true}) {
@@ -118,14 +120,12 @@ TEST_P(LatticeEquivalenceTest, FrontierMatchesOdometerEverywhere) {
                          explain::ExactCardMaximal(f.bound.get(), f.wni, odo));
     ASSERT_OK_AND_ASSIGN(
         std::vector<explain::Explanation> ref_why,
-        explain::AllMostGeneralWhyExplanations(
-            f.bound.get(), f.wi, 20000000, nullptr,
-            explain::SearchStrategy::kOdometer));
+        explain::AllMostGeneralWhyExplanations(f.bound.get(), f.wi, odo));
 
     std::optional<std::tuple<size_t, size_t, size_t, size_t>> ref_stats;
+    explain::Binding binding(f.bound.get(), f.wni.answers);
     for (int threads : kThreadCounts) {
       par::SetNumThreads(threads);
-      explain::LatticeHandle lattice(f.bound.get());
       explain::ExhaustiveOptions lat;
       lat.strategy = explain::SearchStrategy::kLattice;
       explain::PruneStats stats;
@@ -133,21 +133,18 @@ TEST_P(LatticeEquivalenceTest, FrontierMatchesOdometerEverywhere) {
 
       ASSERT_OK_AND_ASSIGN(
           std::vector<explain::Explanation> got_exhaustive,
-          explain::ExhaustiveSearchAllMge(f.bound.get(), f.wni, lat, nullptr,
-                                          &lattice));
+          explain::ExhaustiveSearchAllMge(binding, f.wni.missing, lat));
       EXPECT_EQ(got_exhaustive, ref_exhaustive)
           << "seed " << seed << " deep " << deep << " threads " << threads;
       ASSERT_OK_AND_ASSIGN(
           std::vector<explain::Explanation> got_pruned,
-          explain::PrunedSearchAllMge(f.bound.get(), f.wni, lat, nullptr,
-                                      &lattice));
+          explain::PrunedSearchAllMge(binding, f.wni.missing, lat));
       EXPECT_EQ(got_pruned, ref_pruned)
           << "seed " << seed << " deep " << deep << " threads " << threads;
 
       ASSERT_OK_AND_ASSIGN(
           std::optional<explain::CardinalityResult> got_card,
-          explain::ExactCardMaximal(f.bound.get(), f.wni, lat, nullptr,
-                                    &lattice));
+          explain::ExactCardMaximal(binding, f.wni.missing, lat));
       ASSERT_EQ(got_card.has_value(), ref_card.has_value());
       if (got_card.has_value()) {
         EXPECT_EQ(got_card->explanation, ref_card->explanation)
@@ -157,9 +154,7 @@ TEST_P(LatticeEquivalenceTest, FrontierMatchesOdometerEverywhere) {
 
       ASSERT_OK_AND_ASSIGN(
           std::vector<explain::Explanation> got_why,
-          explain::AllMostGeneralWhyExplanations(
-              f.bound.get(), f.wi, 20000000, nullptr,
-              explain::SearchStrategy::kLattice, &lattice, &stats));
+          explain::AllMostGeneralWhyExplanations(binding, f.wi.present, lat));
       EXPECT_EQ(got_why, ref_why)
           << "seed " << seed << " deep " << deep << " threads " << threads;
 

@@ -42,6 +42,33 @@ void ExpectSameAtAllThreadCounts(const std::function<T()>& fn,
   par::SetNumThreads(0);  // back to the environment / hardware default
 }
 
+/// The search form of the gate: at each thread count `fn` runs once on a
+/// fresh binding from `make` (the one-shot state) and once on a single
+/// binding reused by every run, and every result must equal the 1-thread
+/// fresh reference.
+template <typename T>
+void ExpectSameWithBindings(
+    const std::function<std::unique_ptr<explain::Binding>()>& make,
+    const std::function<T(explain::Binding&)>& fn, const std::string& what) {
+  std::unique_ptr<explain::Binding> reused = make();
+  std::optional<T> reference;
+  for (int threads : kThreadCounts) {
+    par::SetNumThreads(threads);
+    std::unique_ptr<explain::Binding> fresh = make();
+    for (explain::Binding* b : {fresh.get(), reused.get()}) {
+      T got = fn(*b);
+      if (!reference.has_value()) {
+        reference = std::move(got);
+      } else {
+        EXPECT_TRUE(got == *reference)
+            << what << " diverged at WHYNOT_THREADS=" << threads
+            << (b == reused.get() ? " (reused binding)" : "");
+      }
+    }
+  }
+  par::SetNumThreads(0);
+}
+
 struct ExternalFixture {
   rel::Schema schema;
   std::unique_ptr<rel::Instance> instance;
@@ -113,37 +140,43 @@ TEST_P(ParallelDeterminismTest, WarmupAndConceptsContaining) {
       "warm-up / ConceptsContaining / CheckConsistent");
 }
 
+std::function<std::unique_ptr<explain::Binding>()> ExternalBindings(
+    const ExternalFixture& f) {
+  return [&f] {
+    return std::make_unique<explain::Binding>(f.instance.get(), f.wni.answers,
+                                              f.ontology.get());
+  };
+}
+
 TEST_P(ParallelDeterminismTest, ExternalSearches) {
   ExternalFixture f = MakeExternalFixture(GetParam());
-  ExpectSameAtAllThreadCounts<bool>(
-      [&] {
-        onto::BoundOntology bound(f.ontology.get(), f.instance.get());
+  auto make = ExternalBindings(f);
+  const Tuple& missing = f.wni.missing;
+  ExpectSameWithBindings<bool>(
+      make, [&](explain::Binding& b) {
         explain::Explanation witness;
-        auto r = explain::ExistsExplanation(&bound, f.wni, &witness);
+        auto r = explain::ExistsExplanation(b, missing, {}, &witness);
         EXPECT_TRUE(r.ok());
         return r.ok() && r.value();
       },
       "ExistsExplanation");
-  ExpectSameAtAllThreadCounts<std::vector<explain::Explanation>>(
-      [&] {
-        onto::BoundOntology bound(f.ontology.get(), f.instance.get());
-        auto r = explain::ExhaustiveSearchAllMge(&bound, f.wni);
+  ExpectSameWithBindings<std::vector<explain::Explanation>>(
+      make, [&](explain::Binding& b) {
+        auto r = explain::ExhaustiveSearchAllMge(b, missing);
         EXPECT_TRUE(r.ok());
         return r.ok() ? r.value() : std::vector<explain::Explanation>{};
       },
       "ExhaustiveSearchAllMge");
-  ExpectSameAtAllThreadCounts<std::vector<explain::Explanation>>(
-      [&] {
-        onto::BoundOntology bound(f.ontology.get(), f.instance.get());
-        auto r = explain::PrunedSearchAllMge(&bound, f.wni);
+  ExpectSameWithBindings<std::vector<explain::Explanation>>(
+      make, [&](explain::Binding& b) {
+        auto r = explain::PrunedSearchAllMge(b, missing);
         EXPECT_TRUE(r.ok());
         return r.ok() ? r.value() : std::vector<explain::Explanation>{};
       },
       "PrunedSearchAllMge");
-  ExpectSameAtAllThreadCounts<std::string>(
-      [&] {
-        onto::BoundOntology bound(f.ontology.get(), f.instance.get());
-        auto r = explain::ExactCardMaximal(&bound, f.wni);
+  ExpectSameWithBindings<std::string>(
+      make, [&](explain::Binding& b) {
+        auto r = explain::ExactCardMaximal(b, missing);
         EXPECT_TRUE(r.ok());
         if (!r.ok() || !r.value().has_value()) return std::string("none");
         std::string s = r.value()->degree.ToString() + ":";
@@ -153,10 +186,9 @@ TEST_P(ParallelDeterminismTest, ExternalSearches) {
         return s;
       },
       "ExactCardMaximal");
-  ExpectSameAtAllThreadCounts<std::string>(
-      [&] {
-        onto::BoundOntology bound(f.ontology.get(), f.instance.get());
-        auto r = explain::GreedyCardinalityClimb(&bound, f.wni);
+  ExpectSameWithBindings<std::string>(
+      make, [&](explain::Binding& b) {
+        auto r = explain::GreedyCardinalityClimb(b, missing);
         EXPECT_TRUE(r.ok());
         if (!r.ok() || !r.value().has_value()) return std::string("none");
         std::string s = r.value()->degree.ToString() + ":";
@@ -186,12 +218,12 @@ TEST_P(ParallelDeterminismTest, CheckMgeAndWhyExternal) {
         {static_cast<onto::ConceptId>(rng.Below(static_cast<uint64_t>(n))),
          static_cast<onto::ConceptId>(rng.Below(static_cast<uint64_t>(n)))});
   }
-  ExpectSameAtAllThreadCounts<std::vector<int>>(
-      [&] {
+  auto make = ExternalBindings(f);
+  ExpectSameWithBindings<std::vector<int>>(
+      make, [&](explain::Binding& b) {
         std::vector<int> verdicts;
         for (const explain::Explanation& e : candidates) {
-          onto::BoundOntology bound(f.ontology.get(), f.instance.get());
-          auto r = explain::CheckMgeExternal(&bound, f.wni, e);
+          auto r = explain::CheckMgeExternal(b, f.wni.missing, e);
           EXPECT_TRUE(r.ok());
           verdicts.push_back(r.ok() && r.value() ? 1 : 0);
         }
@@ -201,14 +233,12 @@ TEST_P(ParallelDeterminismTest, CheckMgeAndWhyExternal) {
 
   // Why-instance over the same world: explain a *present* tuple.
   ASSERT_FALSE(f.wni.answers.empty());
-  explain::WhyInstance wi;
-  wi.instance = f.instance.get();
-  wi.answers = f.wni.answers;
-  wi.present = f.wni.answers.front();
-  ExpectSameAtAllThreadCounts<std::vector<explain::Explanation>>(
-      [&] {
-        onto::BoundOntology bound(f.ontology.get(), f.instance.get());
-        auto r = explain::AllMostGeneralWhyExplanations(&bound, wi, 2000000);
+  const Tuple& present = f.wni.answers.front();
+  ExpectSameWithBindings<std::vector<explain::Explanation>>(
+      make, [&](explain::Binding& b) {
+        explain::ExhaustiveOptions o;
+        o.max_candidates = 2000000;
+        auto r = explain::AllMostGeneralWhyExplanations(b, present, o);
         EXPECT_TRUE(r.ok());
         return r.ok() ? r.value() : std::vector<explain::Explanation>{};
       },
@@ -250,12 +280,15 @@ DerivedFixture MakeDerivedFixture(uint64_t seed) {
 
 TEST_P(ParallelDeterminismTest, DerivedSearches) {
   DerivedFixture f = MakeDerivedFixture(GetParam());
+  auto make = [&f] {
+    return std::make_unique<explain::Binding>(f.instance.get(), f.wni.answers);
+  };
   // EnumerateAllMges: outputs *and* stats (node accounting, delays) must
   // replay identically through the wave-parallel frontier.
-  ExpectSameAtAllThreadCounts<std::string>(
-      [&] {
+  ExpectSameWithBindings<std::string>(
+      make, [&](explain::Binding& b) {
         explain::EnumerateStats stats;
-        auto r = explain::EnumerateAllMges(f.wni, {}, &stats);
+        auto r = explain::EnumerateAllMges(b, f.wni.missing, {}, &stats);
         EXPECT_TRUE(r.ok());
         std::string s;
         if (r.ok()) {
@@ -284,12 +317,11 @@ TEST_P(ParallelDeterminismTest, DerivedSearches) {
   candidates.push_back(explain::LsExplanation{
       ls::LsConcept::Nominal(f.wni.missing[0]),
       ls::LsConcept::Nominal(f.wni.missing[1])});
-  ExpectSameAtAllThreadCounts<std::vector<int>>(
-      [&] {
+  ExpectSameWithBindings<std::vector<int>>(
+      make, [&](explain::Binding& b) {
         std::vector<int> verdicts;
-        ls::LubContext ctx(f.instance.get());
         for (const explain::LsExplanation& e : candidates) {
-          auto r = explain::CheckMgeDerived(f.wni, e, false, &ctx);
+          auto r = explain::CheckMgeDerived(b, f.wni.missing, e);
           EXPECT_TRUE(r.ok());
           verdicts.push_back(r.ok() && r.value() ? 1 : 0);
         }
@@ -298,9 +330,9 @@ TEST_P(ParallelDeterminismTest, DerivedSearches) {
       "CheckMgeDerived");
 
   // Why duals: incremental search stays serial, the MGE check fans out.
-  ExpectSameAtAllThreadCounts<std::string>(
-      [&] {
-        auto r = explain::IncrementalWhySearch(f.wi, false);
+  ExpectSameWithBindings<std::string>(
+      make, [&](explain::Binding& b) {
+        auto r = explain::IncrementalWhySearch(b, f.wi.present);
         EXPECT_TRUE(r.ok());
         std::string s;
         if (r.ok()) {
@@ -312,19 +344,18 @@ TEST_P(ParallelDeterminismTest, DerivedSearches) {
   std::vector<explain::LsExplanation> why_candidates;
   {
     par::SetNumThreads(1);
-    auto mge = explain::IncrementalWhySearch(f.wi, false);
+    auto mge = explain::IncrementalWhySearch(f.wi);
     ASSERT_TRUE(mge.ok());
     why_candidates.push_back(mge.value());
   }
   why_candidates.push_back(explain::LsExplanation{
       ls::LsConcept::Nominal(f.wi.present[0]),
       ls::LsConcept::Nominal(f.wi.present[1])});
-  ExpectSameAtAllThreadCounts<std::vector<int>>(
-      [&] {
+  ExpectSameWithBindings<std::vector<int>>(
+      make, [&](explain::Binding& b) {
         std::vector<int> verdicts;
-        ls::LubContext ctx(f.instance.get());
         for (const explain::LsExplanation& e : why_candidates) {
-          auto r = explain::CheckWhyMgeDerived(f.wi, e, false, &ctx);
+          auto r = explain::CheckWhyMgeDerived(b, f.wi.present, e);
           EXPECT_TRUE(r.ok());
           verdicts.push_back(r.ok() && r.value() ? 1 : 0);
         }

@@ -123,34 +123,63 @@ std::string Render(const explain::LsExplanation& e) {
   return s;
 }
 
+/// Hands out the binding each search runs on: a fresh one per call
+/// (`reuse` false, the one-shot state) or one shared by every call.
+class Bindings {
+ public:
+  Bindings(const Fixture& f, bool with_ontology, bool reuse)
+      : f_(f), with_ontology_(with_ontology), reuse_(reuse) {}
+  explain::Binding& Next() {
+    if (!reuse_ || current_ == nullptr) {
+      current_ = std::make_unique<explain::Binding>(
+          f_.instance.get(), f_.wni.answers,
+          with_ontology_ ? f_.ontology.get() : nullptr);
+    }
+    return *current_;
+  }
+
+ private:
+  const Fixture& f_;
+  bool with_ontology_;
+  bool reuse_;
+  std::unique_ptr<explain::Binding> current_;
+};
+
 class RepEquivalenceTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(RepEquivalenceTest, ExternalSearches) {
   Fixture f = MakeFixture(GetParam());
+  const Tuple& missing = f.wni.missing;
+  auto run = [&](bool reuse) {
+    Bindings bindings(f, /*with_ontology=*/true, reuse);
+    std::vector<std::string> out;
+    explain::Explanation witness;
+    auto exists =
+        explain::ExistsExplanation(bindings.Next(), missing, {}, &witness);
+    EXPECT_TRUE(exists.ok());
+    out.push_back(exists.ok() && exists.value() ? "yes:" + Render({witness})
+                                                : "no");
+    auto all = explain::ExhaustiveSearchAllMge(bindings.Next(), missing);
+    EXPECT_TRUE(all.ok());
+    out.push_back(all.ok() ? Render(all.value()) : "ERR");
+    auto pruned = explain::PrunedSearchAllMge(bindings.Next(), missing);
+    EXPECT_TRUE(pruned.ok());
+    out.push_back(pruned.ok() ? Render(pruned.value()) : "ERR");
+    auto card = explain::ExactCardMaximal(bindings.Next(), missing);
+    EXPECT_TRUE(card.ok());
+    if (card.ok() && card.value().has_value()) {
+      out.push_back(card.value()->degree.ToString() + ":" +
+                    Render({card.value()->explanation}));
+    } else {
+      out.push_back("none");
+    }
+    return out;
+  };
   ExpectSameUnderAllReps(
       [&] {
-        std::vector<std::string> out;
-        onto::BoundOntology bound(f.ontology.get(), f.instance.get());
-        explain::Explanation witness;
-        auto exists = explain::ExistsExplanation(&bound, f.wni, &witness);
-        EXPECT_TRUE(exists.ok());
-        out.push_back(exists.ok() && exists.value() ? "yes:" + Render({witness})
-                                                    : "no");
-        auto all = explain::ExhaustiveSearchAllMge(&bound, f.wni);
-        EXPECT_TRUE(all.ok());
-        out.push_back(all.ok() ? Render(all.value()) : "ERR");
-        auto pruned = explain::PrunedSearchAllMge(&bound, f.wni);
-        EXPECT_TRUE(pruned.ok());
-        out.push_back(pruned.ok() ? Render(pruned.value()) : "ERR");
-        auto card = explain::ExactCardMaximal(&bound, f.wni);
-        EXPECT_TRUE(card.ok());
-        if (card.ok() && card.value().has_value()) {
-          out.push_back(card.value()->degree.ToString() + ":" +
-                        Render({card.value()->explanation}));
-        } else {
-          out.push_back("none");
-        }
-        return out;
+        std::vector<std::string> fresh = run(false);
+        EXPECT_EQ(run(true), fresh) << "reused binding diverged";
+        return fresh;
       },
       "external searches");
 }
@@ -159,21 +188,29 @@ TEST_P(RepEquivalenceTest, DerivedSearches) {
   Fixture f = MakeFixture(GetParam() ^ 0xabcdull);
   ExpectSameUnderAllReps(
       [&] {
+        // Twice through one binding (the second run starts warm), plus a
+        // fresh binding; all three must agree.
+        Bindings reused(f, /*with_ontology=*/false, /*reuse=*/true);
+        Bindings fresh(f, /*with_ontology=*/false, /*reuse=*/false);
         std::vector<std::string> out;
-        explain::EnumerateStats stats;
-        auto r = explain::EnumerateAllMges(f.wni, {}, &stats);
-        EXPECT_TRUE(r.ok());
-        std::string s;
-        if (r.ok()) {
-          for (const explain::LsExplanation& e : r.value()) {
-            s += Render(e) + ";";
+        for (Bindings* bindings : {&fresh, &reused, &reused}) {
+          explain::EnumerateStats stats;
+          auto r = explain::EnumerateAllMges(bindings->Next(), f.wni.missing,
+                                             {}, &stats);
+          EXPECT_TRUE(r.ok());
+          std::string s;
+          if (r.ok()) {
+            for (const explain::LsExplanation& e : r.value()) {
+              s += Render(e) + ";";
+            }
           }
+          s += "#" + std::to_string(stats.nodes_expanded) + "/" +
+               std::to_string(stats.duplicate_outputs) + "/" +
+               std::to_string(stats.visited_hits) + "/" +
+               std::to_string(stats.max_delay);
+          if (!out.empty()) EXPECT_EQ(s, out.front()) << "binding reuse";
+          out.push_back(std::move(s));
         }
-        s += "#" + std::to_string(stats.nodes_expanded) + "/" +
-             std::to_string(stats.duplicate_outputs) + "/" +
-             std::to_string(stats.visited_hits) + "/" +
-             std::to_string(stats.max_delay);
-        out.push_back(std::move(s));
         return out;
       },
       "EnumerateAllMges");

@@ -239,11 +239,9 @@ TEST(SessionDerivedTest, RepeatedRequestsMatchOneShot) {
       EXPECT_EQ(got_stats.visited_hits, want_stats.visited_hits);
       EXPECT_EQ(got_stats.max_delay, want_stats.max_delay);
 
-      ls::LubContext lub(f.instance.get());
       ASSERT_OK_AND_ASSIGN(
           bool want_mge,
-          explain::CheckMgeDerived(wni, want_inc, /*with_selections=*/false,
-                                   &lub));
+          explain::CheckMgeDerived(wni, want_inc));
       ASSERT_OK_AND_ASSIGN(bool got_mge,
                            session.CheckMgeDerived(m, want_inc));
       EXPECT_EQ(got_mge, want_mge);
@@ -274,11 +272,17 @@ TEST(SessionInvalidationTest, AddFactRebuildsDeterministically) {
     par::SetNumThreads(threads);
     // Fresh per-thread-count copy so the mutation sequence is identical.
     rel::Instance instance(*f.instance);
-    ASSERT_OK_AND_ASSIGN(explain::ExplainSession session,
-                         explain::ExplainSession::Bind(&instance, f.query));
+    ASSERT_OK_AND_ASSIGN(std::unique_ptr<onto::ExplicitOntology> ontology,
+                         workload::CitiesOntology());
+    ASSERT_OK_AND_ASSIGN(
+        explain::ExplainSession session,
+        explain::ExplainSession::Bind(&instance, f.query, ontology.get()));
     uint64_t v0 = session.warmed_version();
     ASSERT_OK_AND_ASSIGN(explain::LsExplanation before, session.WhyNot(missing));
     (void)before;
+    ASSERT_OK(session.ExhaustiveMges(missing).status());
+    ls::ConceptCacheStats stats_before = session.CacheStats();
+    ASSERT_GT(stats_before.publishes, 0u);
 
     // Mutate: a new city and new connections change both adom(I) and q(I).
     ASSERT_OK(instance.AddFact(
@@ -303,6 +307,21 @@ TEST(SessionInvalidationTest, AddFactRebuildsDeterministically) {
     EXPECT_EQ(got, want);
     EXPECT_NE(session.warmed_version(), v0);
     EXPECT_EQ(session.answers(), wni.answers);
+    onto::BoundOntology bound(ontology.get(), &instance);
+    ASSERT_OK_AND_ASSIGN(std::vector<explain::Explanation> want_mges,
+                         explain::ExhaustiveSearchAllMge(&bound, wni));
+    ASSERT_OK_AND_ASSIGN(std::vector<explain::Explanation> got_mges,
+                         session.ExhaustiveMges(missing));
+    EXPECT_EQ(got_mges, want_mges);
+
+    // Cache counters keep counting across the rebuild; the replaced
+    // binding's published entries count as evictions.
+    ls::ConceptCacheStats stats_after = session.CacheStats();
+    EXPECT_GE(stats_after.shared_hits, stats_before.shared_hits);
+    EXPECT_GE(stats_after.local_hits, stats_before.local_hits);
+    EXPECT_GT(stats_after.misses, stats_before.misses);
+    EXPECT_GT(stats_after.publishes, stats_before.publishes);
+    EXPECT_GT(stats_after.evictions, stats_before.evictions);
 
     // A duplicate AddFact is a no-op: the version must not move, so the
     // warm state survives the next request untouched.

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "test_util.h"
 
 namespace whynot {
@@ -201,11 +203,10 @@ TEST_F(WhyDerivedTest, ProductOutsideAnswersRejected) {
 TEST_F(WhyDerivedTest, IncrementalWhySearchOutputIsWhyExplanationAndMge) {
   for (bool with_selections : {false, true}) {
     ASSERT_OK_AND_ASSIGN(explain::LsExplanation e,
-                         explain::IncrementalWhySearch(*wi_, with_selections));
+                         explain::IncrementalWhySearch(*wi_, {with_selections}));
     EXPECT_TRUE(explain::IsLsWhyExplanation(*wi_, e));
-    ls::LubContext ctx(instance_.get());
     ASSERT_OK_AND_ASSIGN(
-        bool mge, explain::CheckWhyMgeDerived(*wi_, e, with_selections, &ctx));
+        bool mge, explain::CheckWhyMgeDerived(*wi_, e, {with_selections}));
     EXPECT_TRUE(mge) << explain::LsExplanationToString(schema_, e);
   }
 }
@@ -216,11 +217,10 @@ TEST_F(WhyDerivedTest, CheckWhyMgeRejectsTheNominalStartWhenGrowable) {
   explain::LsExplanation nominals = {
       ls::LsConcept::Nominal(Value("Amsterdam")),
       ls::LsConcept::Nominal(Value("Rome"))};
-  ls::LubContext ctx(instance_.get());
   ASSERT_OK_AND_ASSIGN(
       bool mge,
-      explain::CheckWhyMgeDerived(*wi_, nominals, /*with_selections=*/true,
-                                  &ctx));
+      explain::CheckWhyMgeDerived(*wi_, nominals,
+                                  {/*with_selections=*/true}));
   EXPECT_FALSE(mge);
 }
 
@@ -278,6 +278,52 @@ TEST_P(WhyDerivedSweepTest, GreedyOutputInBruteForceAntichain) {
 
 INSTANTIATE_TEST_SUITE_P(Sweep, WhyDerivedSweepTest,
                          ::testing::Range<uint64_t>(1, 21));
+
+// Ans is sort-deduplicated once by the binding every search runs on, so a
+// hand-filled WhyInstance with unsorted, duplicated answers explains exactly
+// like its sorted form — derived and external searches alike.
+TEST(WhyAnswerOrderTest, UnsortedDuplicatedAnswersMatchSortedForm) {
+  ASSERT_OK_AND_ASSIGN(rel::Schema schema, workload::CitiesDataSchema());
+  ASSERT_OK_AND_ASSIGN(rel::Instance instance,
+                       workload::CitiesInstance(&schema));
+  ASSERT_OK_AND_ASSIGN(auto ontology, workload::CitiesOntology());
+  ASSERT_OK_AND_ASSIGN(
+      explain::WhyInstance sorted,
+      explain::MakeWhyInstance(&instance, workload::ConnectedViaQuery(),
+                               {Value("Amsterdam"), Value("Rome")}));
+  ASSERT_GE(sorted.answers.size(), 3u);
+  explain::WhyInstance messy = sorted;
+  std::reverse(messy.answers.begin(), messy.answers.end());
+  messy.answers.insert(messy.answers.end(), sorted.answers.begin(),
+                       sorted.answers.begin() + 3);
+
+  for (bool with_selections : {false, true}) {
+    ASSERT_OK_AND_ASSIGN(
+        explain::LsExplanation want,
+        explain::IncrementalWhySearch(sorted, {with_selections}));
+    ASSERT_OK_AND_ASSIGN(
+        explain::LsExplanation got,
+        explain::IncrementalWhySearch(messy, {with_selections}));
+    EXPECT_EQ(got, want);
+    explain::LsExplanation nominals = {ls::LsConcept::Nominal(Value("Amsterdam")),
+                                       ls::LsConcept::Nominal(Value("Rome"))};
+    for (const explain::LsExplanation& e : {want, nominals}) {
+      ASSERT_OK_AND_ASSIGN(
+          bool want_mge,
+          explain::CheckWhyMgeDerived(sorted, e, {with_selections}));
+      ASSERT_OK_AND_ASSIGN(
+          bool got_mge,
+          explain::CheckWhyMgeDerived(messy, e, {with_selections}));
+      EXPECT_EQ(got_mge, want_mge);
+    }
+  }
+  onto::BoundOntology bound(ontology.get(), &instance);
+  ASSERT_OK_AND_ASSIGN(std::vector<Explanation> want,
+                       explain::AllMostGeneralWhyExplanations(&bound, sorted));
+  ASSERT_OK_AND_ASSIGN(std::vector<Explanation> got,
+                       explain::AllMostGeneralWhyExplanations(&bound, messy));
+  EXPECT_EQ(got, want);
+}
 
 }  // namespace
 }  // namespace whynot
